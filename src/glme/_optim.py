@@ -1,24 +1,33 @@
-"""Seeded Nelder-Mead minimizer used by every fitting routine.
+"""Derivative-free minimizers used by the fitting routines.
 
 Derivative-free search is the right tool here: the objectives are cheap,
-low-dimensional (2-3 parameters) and non-smooth at distribution support
-boundaries, where they are scored with a large finite sentinel rather than
-an exception.  The implementation is deterministic given its seed,
-including the jittered restarts.
+low-dimensional and non-smooth at distribution support boundaries, where
+they are scored with a large finite sentinel rather than an exception.
+
+* ``nelder_mead``: seeded simplex search with jittered restarts, for the
+  2-3 parameter likelihood and trend-model objectives.
+* ``brent``: bounded scalar search (golden section with parabolic steps),
+  for one-dimensional shape profiles.
+
+Both are deterministic (``nelder_mead`` given its seed).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["OptimResult", "nelder_mead"]
+__all__ = ["OptimResult", "brent", "nelder_mead"]
+
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 
 @dataclass
 class OptimResult:
-    x: np.ndarray
+    x: np.ndarray  # a float for the scalar ``brent``
     fun: float
     n_eval: int
     converged: bool
@@ -142,3 +151,65 @@ def nelder_mead(
         if result.fun < best.fun or (result.fun == best.fun and result.converged):
             best = OptimResult(result.x, result.fun, total, result.converged)
     return OptimResult(best.x, best.fun, total, best.converged)
+
+
+def brent(fn, a: float, b: float, xtol: float = 1e-10, max_evals: int = 100) -> OptimResult:
+    """Minimize a scalar function on ``[a, b]`` by Brent's method.
+
+    Golden-section steps with parabolic interpolation (Brent 1973, ch. 5);
+    every evaluation lies strictly inside ``(a, b)``.  Stops when the
+    bracket around the best point has shrunk to about
+    ``2 * (sqrt(eps) * |x| + xtol / 3)`` on each side; ``converged`` is
+    False when ``max_evals`` runs out first.  ``fn`` may return a large
+    sentinel for infeasible points but never raise.
+    """
+    if not a < b:
+        raise ValueError(f"need a < b, got [{a}, {b}]")
+    x = w = v = a + _GOLDEN * (b - a)
+    fx = fw = fv = fn(x)
+    n_eval = 1
+    d = e = 0.0
+    while n_eval < max_evals:
+        m = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(x) + xtol / 3.0
+        tol2 = 2.0 * tol1
+        if abs(x - m) <= tol2 - 0.5 * (b - a):
+            return OptimResult(x, fx, n_eval, True)
+        parabolic = False
+        if abs(e) > tol1:
+            # vertex of the parabola through (x, fx), (w, fw), (v, fv)
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            # accept only a step inside the bracket and under half the one before last
+            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+                e, d = d, p / q
+                parabolic = True
+                if (x + d) - a < tol2 or b - (x + d) < tol2:
+                    d = tol1 if x < m else -tol1
+        if not parabolic:
+            e = (b - x) if x < m else (a - x)
+            d = _GOLDEN * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        fu = fn(u)
+        n_eval += 1
+        if fu <= fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return OptimResult(x, fx, n_eval, False)

@@ -29,6 +29,7 @@ __all__ = [
     "LMomentTriple",
     "CovMatrix3",
     "sample_lmoments",
+    "gev_lmoment_coefs",
     "gev_population_lmoments",
     "gumbel_population_lmoments",
     "lmoment_cov",
@@ -115,19 +116,34 @@ def sample_lmoments(x, order: int = 3) -> LMomentTriple:
     return LMomentTriple(float(lm[0]), float(lm[1]), float(lm[2]))
 
 
+def gev_lmoment_coefs(xi) -> np.ndarray:
+    """Scale coefficients ``(a1, a2, a3)`` of the GEV L-moments, one row per shape.
+
+    For fixed shape the first three L-moments are linear in location and
+    scale: ``lambda = mu * (1, 0, 0) + sigma * (a1, a2, a3)`` (Hosking 1990),
+    with ``a1 = (1 - g)/xi``, ``a2 = (1 - 2**-xi) g/xi``, ``a3 = tau3 * a2``
+    and ``g = Gamma(1 + xi)``; shapes with ``|xi| < XI_EPS`` take the Gumbel
+    limit.  ``xi`` is a scalar or 1-D array of shapes above -1; the result
+    has shape ``(..., 3)``.
+    """
+    xi = np.asarray(xi, dtype=float)
+    gumbel = np.abs(xi) < XI_EPS
+    x = np.where(gumbel, 1.0, xi)
+    g = gamma_fn(1.0 + x)
+    e2 = np.expm1(-x * math.log(2.0))
+    a2 = -e2 * g / x
+    tau3 = 2.0 * np.expm1(-x * math.log(3.0)) / e2 - 3.0
+    coefs = np.stack([(1.0 - g) / x, a2, tau3 * a2], axis=-1)
+    return np.where(gumbel[..., None], GUMBEL_LMOMENTS, coefs)
+
+
 def gev_population_lmoments(params: GevParams) -> LMomentTriple:
     """Population L-moments of a GEV distribution (exist for xi > -1)."""
     mu, sigma, xi = params.as_tuple()
     if xi <= -1:
         raise ValueError(f"population L-moments require xi > -1, got {xi}")
-    if abs(xi) < XI_EPS:
-        g1, g2, g3 = GUMBEL_LMOMENTS
-        return LMomentTriple(mu + sigma * g1, sigma * g2, sigma * g3)
-    g = gamma_fn(1.0 + xi)
-    lam1 = mu + sigma * (1.0 - g) / xi
-    lam2 = sigma * (-math.expm1(-xi * math.log(2.0))) * g / xi
-    tau3 = 2.0 * math.expm1(-xi * math.log(3.0)) / math.expm1(-xi * math.log(2.0)) - 3.0
-    return LMomentTriple(lam1, lam2, tau3 * lam2)
+    a1, a2, a3 = gev_lmoment_coefs(xi).tolist()
+    return LMomentTriple(mu + sigma * a1, sigma * a2, sigma * a3)
 
 
 def gumbel_population_lmoments() -> LMomentTriple:
@@ -161,6 +177,19 @@ class CovMatrix3:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         return cho_solve(self._factor(), rhs)
+
+    def whiten(self, rhs: np.ndarray) -> np.ndarray:
+        """``L^{-1} rhs`` for the Cholesky factor ``V = L L'``, so that
+        ``r' V^{-1} r`` is the squared norm of ``whiten(r)``.
+
+        Forward substitution over the three rows; ``rhs`` has shape (3,) or
+        (3, k).
+        """
+        c, _ = self._factor()
+        out = np.array(rhs, dtype=float)
+        for i in range(3):
+            out[i] = (out[i] - c[i, :i] @ out[:i]) / c[i, i]
+        return out
 
     @property
     def log_det(self) -> float:

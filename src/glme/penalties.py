@@ -76,6 +76,9 @@ def _beta_density(xi: float, p: float, q: float, lower: float, upper: float) -> 
 
 
 class _PenaltyBase:
+    # open interval outside which the weight is 0
+    support = (-math.inf, math.inf)
+
     def value(self, xi: float) -> float:
         raise NotImplementedError
 
@@ -84,6 +87,21 @@ class _PenaltyBase:
         if v <= 0.0:
             return SENTINEL
         return -math.log(v)
+
+
+class _BetaBase(_PenaltyBase):
+    """Shared behaviour of the beta families (fields p, q, lower, upper)."""
+
+    @property
+    def mode(self) -> float:
+        return self.lower + (self.p - 1.0) / (self.p + self.q - 2.0) * (self.upper - self.lower)
+
+    @property
+    def support(self) -> tuple[float, float]:
+        return (self.lower, self.upper)
+
+    def value(self, xi: float) -> float:
+        return _beta_density(xi, self.p, self.q, self.lower, self.upper)
 
 
 @dataclass(frozen=True)
@@ -105,6 +123,7 @@ class ColesDixonPenalty(_PenaltyBase):
     alpha: float = 1.0
     lam: float = 1.0
     family = "cd"
+    support = (-1.0, math.inf)
 
     def __post_init__(self):
         if self.alpha < 0 or self.lam < 0:
@@ -154,7 +173,7 @@ class NormalPenalty(_PenaltyBase):
 
 
 @dataclass(frozen=True)
-class FixedBetaPenalty(_PenaltyBase):
+class FixedBetaPenalty(_BetaBase):
     """Beta density with fixed support, (-0.5, 0.5) by default."""
 
     p: float
@@ -184,16 +203,9 @@ class FixedBetaPenalty(_PenaltyBase):
             return self.preset
         return f"beta_fixed:p={self.p:g},q={self.q:g}"
 
-    @property
-    def mode(self) -> float:
-        return self.lower + (self.p - 1.0) / (self.p + self.q - 2.0) * (self.upper - self.lower)
-
-    def value(self, xi: float) -> float:
-        return _beta_density(xi, self.p, self.q, self.lower, self.upper)
-
 
 @dataclass(frozen=True)
-class AdaptiveBetaPenalty(_PenaltyBase):
+class AdaptiveBetaPenalty(_BetaBase):
     """Beta density centered by an initial shape estimate.
 
     Support is (xi_hat - c0, xi_hat + c0) clipped to (-1, 0.3); the right
@@ -213,13 +225,6 @@ class AdaptiveBetaPenalty(_PenaltyBase):
     @property
     def label(self) -> str:
         return f"b.c{self.choice}"
-
-    @property
-    def mode(self) -> float:
-        return self.lower + (self.p - 1.0) / (self.p + self.q - 2.0) * (self.upper - self.lower)
-
-    def value(self, xi: float) -> float:
-        return _beta_density(xi, self.p, self.q, self.lower, self.upper)
 
 
 def build_beta_adaptive(choice: int, xi_hat: float, c0: float = 0.3) -> AdaptiveBetaPenalty:

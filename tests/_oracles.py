@@ -2,7 +2,9 @@
 
 Everything here evaluates definitions directly (subset enumeration,
 adaptive quadrature, bisection) and deliberately shares no code with the
-package internals.
+package internals.  The one exception is ``glme_fit_nelder_mead``, a
+reference for the *search* of the penalty-weighted L-moment fit: it
+minimizes the package's own objective, by brute force.
 """
 
 from itertools import combinations
@@ -109,3 +111,29 @@ def quantile_by_bisection(cdf, p, lo, hi, tol=1e-12, max_iter=200):
         if hi - lo < tol:
             break
     return 0.5 * (lo + hi)
+
+
+def glme_fit_nelder_mead(x, V, penalty, alpha_n, seed=0):
+    """Penalty-weighted L-moment fit by 3-D Nelder-Mead over (mu, sigma, xi).
+
+    The search ``fit_glme`` ran before location and scale were profiled out
+    in closed form: from the L-moment estimate, with the package's seeded
+    jittered restarts, on the same objective and shape box.  ``penalty``
+    must already be built.  Returns ``(params array, objective value)``; the
+    value is at least SENTINEL when the simplex never left a zero-weight
+    plateau.
+    """
+    from glme._optim import nelder_mead
+    from glme.estimators import _glme_value, _objective_const, fit_lme
+    from glme.lmoments import sample_lmoments
+
+    start = fit_lme(x).params
+    l = sample_lmoments(x)
+    const = _objective_const(V)
+
+    def objective(theta):
+        return _glme_value(l, V, const, *theta, penalty, alpha_n)
+
+    scale = [0.1 * abs(start.mu) + 1.0, 0.1 * start.sigma, 0.05]
+    res = nelder_mead(objective, start.as_tuple(), scale, seed=seed)
+    return res.x, res.fun

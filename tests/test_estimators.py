@@ -1,11 +1,12 @@
 """Stationary estimators: L-moment fit, likelihood fits, penalty-weighted fits."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from glme.errors import DegenerateDataError
+from glme.errors import ConvergenceError, DegenerateDataError
 from glme.estimators import (
     fit_glme,
     fit_gmle,
@@ -17,6 +18,7 @@ from glme.estimators import (
 )
 from glme.gev import GevParams, gev_sample, return_level
 from glme.lmoments import lmoment_cov, sample_lmoments
+from glme.methods import parse_method
 from glme.penalties import (
     SENTINEL,
     AdaptiveBetaRequest,
@@ -199,6 +201,96 @@ class TestFitGlme:
         assert return_level(fit.params, 100.0) == pytest.approx(1824.0, rel=0.01)
 
 
+# (n, shape) cells of the seeded reference corpus, each with its sample seed
+REFERENCE_CELLS = {
+    (n, xi): 9100 + i
+    for i, (n, xi) in enumerate((n, xi) for n in (30, 50, 70) for xi in (-0.45, -0.15, 0.15))
+}
+REFERENCE_METHODS = ("glme", "glme.b.c1", "glme.b.c6", "glme.n.c2", "glme.cd", "glme.cannon")
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_sample(n, xi, cov):
+    seed = REFERENCE_CELLS[(n, xi)]
+    x = gev_sample(GevParams(100.0, 30.0, xi), n, seed=seed)
+    return x, lmoment_cov(x, method=cov, B=1000, seed=seed)
+
+
+def _built_penalty(name, x):
+    penalty = parse_method(name).penalty
+    if isinstance(penalty, AdaptiveBetaRequest):
+        penalty = penalty.build(fit_lme(x).params.xi)
+    return penalty
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_fit(n, xi, cov, name, alpha_n):
+    from _oracles import glme_fit_nelder_mead
+
+    x, V = _reference_sample(n, xi, cov)
+    return glme_fit_nelder_mead(x, V, _built_penalty(name, x), alpha_n)
+
+
+class TestGlmeAgainstNelderMead:
+    """The closed-form profile search against the former 3-D Nelder-Mead
+    search of the same objective, on a seeded corpus."""
+
+    @pytest.mark.parametrize("cov", ["bootstrap", "exact"])
+    @pytest.mark.parametrize("name", REFERENCE_METHODS)
+    def test_corpus(self, name, cov):
+        problems = []
+        for n, xi in REFERENCE_CELLS:
+            x, V = _reference_sample(n, xi, cov)
+            penalty = _built_penalty(name, x)
+            for alpha_n in (0.0, 1.0):
+                fit = fit_glme(x, penalty, alpha_n=alpha_n, V=V)
+                # with alpha_n = 0 every penalty leaves the same objective
+                ref_x, ref_fun = _reference_fit(n, xi, cov, name if alpha_n else "glme", alpha_n)
+                case = f"n={n} xi={xi} alpha_n={alpha_n}"
+                if fit.objective_value != glme_objective(x, V, fit.params, penalty, alpha_n):
+                    problems.append(f"{case}: objective differs from glme_objective")
+                if fit.objective_value > ref_fun + 1e-9:
+                    problems.append(f"{case}: objective {fit.objective_value!r} > {ref_fun!r}")
+                if fit.iterations > 120:
+                    problems.append(f"{case}: {fit.iterations} profile evaluations")
+                if ref_fun < SENTINEL:
+                    scale = np.array([1.0 + abs(ref_x[0]), 1.0 + ref_x[1], 1.0])
+                    gap = np.max(np.abs(np.array(fit.params.as_tuple()) - ref_x) / scale)
+                    if gap > 1e-6:
+                        problems.append(f"{case}: scaled parameter gap {gap:.3g}")
+        assert not problems, "\n".join(problems)
+
+
+class TestZeroWeightStart:
+    """Samples whose L-moment shape lies above the adaptive beta support
+    cap of 0.3, so the penalty gives the usual start shape zero weight."""
+
+    CASES = [
+        (GevParams(100.0, 30.0, 0.3), 40, 0),  # L-moment shape 0.478
+        (GevParams(100.0, 30.0, 0.3), 40, 3),  # 0.384
+        (GevParams(100.0, 30.0, 0.3), 40, 5),  # 0.360
+        (GevParams(100.0, 30.0, 0.15), 50, 309580411),  # 0.464
+    ]
+
+    @pytest.mark.parametrize("kind", ["glme", "gmle"])
+    @pytest.mark.parametrize("truth,n,seed", CASES)
+    def test_fit_is_feasible(self, kind, truth, n, seed):
+        x = gev_sample(truth, n, seed=seed)
+        assert fit_lme(x).params.xi > 0.3
+        fit = parse_method(f"{kind}.b.c1").fit_stationary(x, seed=1)
+        assert fit.converged
+        assert fit.objective_value < SENTINEL
+        assert fit.penalty.lower < fit.params.xi < fit.penalty.upper
+
+    def test_sentinel_plateau_is_not_convergence(self):
+        # every simplex vertex near this start puts data outside the support
+        x = gev_sample(GevParams(100.0, 30.0, -0.2), 40, seed=3)
+        with pytest.raises(ConvergenceError) as err:
+            fit_mle(x, init=GevParams(0.0, 1e-3, 0.5))
+        assert not err.value.best.converged
+        assert err.value.best.objective_value >= SENTINEL
+
+
 FLOOD_ROWS = [
     # method, mu, sigma, xi, r100
     ("mle", 119.17, 102.09, -0.608, 2709.0),
@@ -260,6 +352,25 @@ class TestProfile:
             profile_xi(x, grid=[-1.2, 0.0])
         with pytest.raises(ValueError, match="method"):
             profile_xi(x, method="bayes", grid=[0.0])
+
+    def test_glme_values_are_exact_maxima(self, flood):
+        x = flood.values
+        fit = fit_glme(x, AdaptiveBetaRequest(6), seed=42)
+        [point] = profile_xi(x, "glme", AdaptiveBetaRequest(6), [fit.params.xi], seed=42)
+        assert point.converged
+        assert point.value == pytest.approx(-fit.objective_value, abs=1e-9)
+        V = lmoment_cov(x, B=1000, seed=42)
+        mu, sigma, xi = fit.params.as_tuple()
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            other = GevParams(mu * rng.uniform(0.95, 1.05), sigma * rng.uniform(0.95, 1.05), xi)
+            assert -glme_objective(x, V, other, fit.penalty) <= point.value + 1e-12
+
+    def test_infeasible_points_flagged(self, flood):
+        points = profile_xi(flood.values, "glme", FixedBetaPenalty.from_preset("ms"),
+                            [-0.6, -0.3], seed=42)
+        assert [p.converged for p in points] == [False, True]
+        assert points[0].value == -SENTINEL
 
     def test_strong_penalty_narrows_curve(self, flood):
         # half-width of the profile at the 1.92 drop from its peak
