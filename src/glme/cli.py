@@ -332,6 +332,7 @@ def _cmd_fit_ns(args, out) -> int:
                 "method": fit.method,
                 "coefficients": dict(zip(coef_names, coef_vals)),
                 "converged": fit.converged,
+                "iterations": fit.iterations,
                 "objective_value": fit.objective_value,
                 "return_levels_end_of_sample": {f"{T:g}": levels[T] for T in periods},
                 "seed": args.seed,

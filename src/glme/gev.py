@@ -137,9 +137,12 @@ def gev_cdf(params: GevParams, x) -> float | np.ndarray:
     return _maybe_scalar(out[0] if scalar else out, scalar)
 
 
-def _quantile_from_y(params: GevParams, y) -> np.ndarray:
-    """Quantile written in terms of y = -log(p); y > 0."""
-    mu, sigma, xi = params.as_tuple()
+def _quantile_from_y(mu, sigma, xi: float, y) -> np.ndarray:
+    """Quantile written in terms of y = -log(p); y > 0.
+
+    ``mu`` and ``sigma`` may be arrays broadcasting against ``y`` (one
+    location and scale per observation of a trend model).
+    """
     y = np.asarray(y, dtype=float)
     if abs(xi) < XI_EPS:
         return mu - sigma * np.log(y)
@@ -154,7 +157,7 @@ def gev_quantile(params: GevParams, p) -> float | np.ndarray:
     arr = np.atleast_1d(arr)
     if np.any(~np.isfinite(arr)) or np.any(arr <= 0) or np.any(arr >= 1):
         raise ValueError("p must lie in the open interval (0, 1)")
-    out = _quantile_from_y(params, -np.log(arr))
+    out = _quantile_from_y(*params.as_tuple(), -np.log(arr))
     return _maybe_scalar(out[0] if scalar else out, scalar)
 
 
@@ -173,9 +176,14 @@ def gev_sample(params: GevParams, n: int, seed: int) -> np.ndarray:
     """Draw ``n`` values by inverse-CDF sampling; deterministic given seed."""
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
+    return _sample(*params.as_tuple(), n, seed)
+
+
+def _sample(mu, sigma, xi: float, n: int, seed: int) -> np.ndarray:
+    """Inverse-CDF draws of ``n`` values; ``mu``/``sigma`` scalars or length-n arrays."""
     rng = np.random.default_rng(seed)
     u = np.maximum(rng.random(n), 1e-15)
-    return _quantile_from_y(params, -np.log(u))
+    return _quantile_from_y(mu, sigma, xi, -np.log(u))
 
 
 def return_level(params: GevParams, T: float) -> float:
@@ -185,4 +193,4 @@ def return_level(params: GevParams, T: float) -> float:
     the form consistent with inverting the CDF above.
     """
     spec = ReturnSpec(float(T))
-    return float(_quantile_from_y(params, spec.y))
+    return float(_quantile_from_y(*params.as_tuple(), spec.y))

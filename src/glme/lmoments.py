@@ -78,6 +78,16 @@ def _pwm_from_sorted(xs: np.ndarray, nmom: int) -> list[np.ndarray]:
     return out
 
 
+def _lmoment_weights(n: int) -> np.ndarray:
+    """The 3 x n matrix ``W`` with ``(l1, l2, l3) = W @ xs`` for a sorted sample
+    ``xs`` of size n >= 3: the probability-weighted-moment weights of
+    :func:`_pwm_from_sorted` combined into L-moments."""
+    i = np.arange(n, dtype=float)
+    w1 = i / (n - 1)
+    pwm = np.array([np.ones(n), w1, w1 * (i - 1) / (n - 2)]) / n
+    return np.array([[1.0, 0.0, 0.0], [-1.0, 2.0, 0.0], [1.0, -6.0, 6.0]]) @ pwm
+
+
 def _lmoments_from_sorted(xs: np.ndarray, order: int) -> np.ndarray:
     """Stack of l_1..l_order for sorted rows ``xs`` (last axis is the sample)."""
     b = _pwm_from_sorted(xs, order)
@@ -323,9 +333,8 @@ def gumbel_lmoment_cov(n: int, B: int = 1000, seed: int = 0) -> CovMatrix3:
 def gld(lam: LMomentTriple, l: LMomentTriple, V: CovMatrix3) -> float:
     """Generalized L-moment distance (lam - l)' V^{-1} (lam - l).
 
-    Solved through the cached Cholesky factorization of ``V``; the matrix is
-    never inverted explicitly.
+    The squared norm of the residual whitened by the cached Cholesky factor
+    of ``V``; the matrix is never inverted explicitly.
     """
-    r = lam.as_array() - l.as_array()
-    w = float(r @ V.solve(r))
-    return max(w, 0.0)
+    e = V.whiten(lam.as_array() - l.as_array())
+    return float(e @ e)

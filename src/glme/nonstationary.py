@@ -25,17 +25,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._optim import nelder_mead
+# unused here; perfbench/tracing.py patches glme.nonstationary.nelder_mead by name
+from ._optim import nelder_mead  # noqa: F401
 from .errors import ConvergenceError, DegenerateDataError, TransformError
 from .estimators import fit_lme
-from .gev import XI_EPS, GevParams, return_level
+from .gev import XI_EPS, GevParams, _sample, return_level
 from .lmoments import (
     CovMatrix3,
+    _lmoment_weights,
     gld,
     gumbel_lmoment_cov,
     gumbel_population_lmoments,
     sample_lmoments,
-    _lmoments_from_sorted,
 )
 from .penalties import SENTINEL, AdaptiveBetaRequest, FlatPenalty
 
@@ -56,6 +57,20 @@ __all__ = [
 
 _XI_LO, _XI_HI = -1.0 + 1e-8, 1.0 - 1e-8
 _GUMBEL_LAMBDA = gumbel_population_lmoments().as_array()
+
+# fit_ns_lme's Newton solve: residual norm at which it stops, iteration cap,
+# and step halvings tried per iteration
+_ROOT_TOL = 1e-12
+_NEWTON_ITER = 50
+_HALVINGS = 30
+
+# fit_ns_glme's Levenberg-Marquardt search: initial and smallest damping,
+# relative-step and objective-decrease tolerances, evaluation cap, and the
+# central-difference step of the penalty derivatives
+_LM_DAMPING, _LM_DAMPING_MIN = 1e-3, 1e-12
+_LM_XTOL, _LM_FTOL = 1e-10, 1e-15
+_LM_MAX_EVAL = 200
+_PENALTY_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -211,26 +226,35 @@ def scale_regression(z, X, mu_coef) -> np.ndarray:
     return coef
 
 
-def gumbel_transform(z, model: NsModel) -> np.ndarray:
-    """Map observations to standard Gumbel under the model's parameters.
+def _to_gumbel(d, sigma, xi: float):
+    """The shape-standardizing transform of deviations ``d`` from the location.
 
-    Raises :class:`TransformError` (naming the first offending index) if
-    any observation falls outside the implied support.
+    Returns ``(zt, w, u)`` with ``w = d / sigma``, ``u = 1 - xi * w`` and
+    ``zt = -log(u) / xi``; in the Gumbel limit ``|xi| < XI_EPS``, ``zt = w``
+    and ``u = 1``.  Raises :class:`TransformError` naming the first
+    observation outside the support (``u <= 0``).
     """
-    z = np.asarray(z, dtype=float)
-    mu = model.mu_values()
-    sigma = model.sigma_values()
-    std = (z - mu) / sigma
-    if abs(model.xi) < XI_EPS:
-        return std
-    u = 1.0 - model.xi * std
+    w = d / sigma
+    if abs(xi) < XI_EPS:
+        return w, w, 1.0
+    u = 1.0 - xi * w
     bad = np.flatnonzero(u <= 0)
     if bad.size:
         raise TransformError(
             f"observation {bad[0]} outside the support implied by the parameters",
             index=int(bad[0]),
         )
-    return -np.log(u) / model.xi
+    return -np.log1p(-xi * w) / xi, w, u
+
+
+def gumbel_transform(z, model: NsModel) -> np.ndarray:
+    """Map observations to standard Gumbel under the model's parameters.
+
+    Raises :class:`TransformError` (naming the first offending index) if
+    any observation falls outside the implied support.
+    """
+    d = np.asarray(z, dtype=float) - model.mu_values()
+    return _to_gumbel(d, model.sigma_values(), model.xi)[0]
 
 
 def ns_gld(ztilde, Vtilde: CovMatrix3) -> float:
@@ -239,28 +263,62 @@ def ns_gld(ztilde, Vtilde: CovMatrix3) -> float:
     return gld(gumbel_population_lmoments(), sample_lmoments(ztilde), Vtilde)
 
 
-def _transformed_lmoments(z, cov, mu_slopes, sig_slopes, theta):
-    """L-moment triple of the transformed data, or None outside the support."""
-    mu0, sig0, xi = theta
-    mu = mu0 + cov @ mu_slopes
-    sigma = np.exp(sig0 + cov @ sig_slopes)
-    std = (z - mu) / sigma
-    if abs(xi) < XI_EPS:
-        zt = std
-    else:
-        u = 1.0 - xi * std
-        if np.any(u <= 0):
+def _lmoment_system(z, cov, mu_slopes, sig_slopes):
+    """The final stage's equations with the slopes held fixed.
+
+    Returns ``evaluate(theta) -> (r, J, kinks)`` for ``theta = (mu0, log
+    sigma0, xi)``, or None outside the shape box, outside the transform's
+    support, or where ``r`` or ``J`` is not finite.  ``r`` is the residual
+    of the transformed sample's L-moments from the Gumbel constants and
+    ``J = dr/dtheta`` its exact Jacobian.  With the sort permutation of the
+    transformed sample held fixed the L-moments are ``W @ zt[order]`` for
+    the fixed weight matrix ``W``, so ``J = W @ (dzt/dtheta)[order]``; per
+    observation
+
+        dzt/dmu0 = -1/(sigma u),  dzt/dlog sigma0 = -w/u,
+        dzt/dxi = (w/u - zt)/xi   (Gumbel limit w**2 / 2).
+
+    The transform is increasing in ``w = (z - mu)/sigma`` and the common
+    factor ``exp(log sigma0)`` leaves the order of ``w`` alone, so only
+    ``mu0`` can change the permutation.  ``kinks`` holds, for each pair of
+    neighbours in the current order, the change of ``mu0`` at which they
+    swap (infinite or nan when they never do); ``r`` is smooth in ``theta``
+    except across those values.
+    """
+    d = z - cov @ mu_slopes
+    log_scale = cov @ sig_slopes
+    weights = _lmoment_weights(z.size)
+
+    def evaluate(theta):
+        mu0, sig0, xi = theta
+        if not _XI_LO < xi < _XI_HI:
             return None
-        zt = -np.log(u) / xi
-    lm = _lmoments_from_sorted(np.sort(zt), 3)
-    return lm if np.all(np.isfinite(lm)) else None
+        sigma = np.exp(sig0 + log_scale)
+        try:
+            zt, w, u = _to_gumbel(d - mu0, sigma, xi)
+        except TransformError:
+            return None
+        dxi = 0.5 * w * w if abs(xi) < XI_EPS else (w / u - zt) / xi
+        order = np.argsort(zt)
+        columns = np.column_stack([zt, -1.0 / (sigma * u), -w / u, dxi])
+        out = weights @ columns[order]
+        if not np.all(np.isfinite(out)):
+            return None
+        with np.errstate(divide="ignore", invalid="ignore"):
+            kinks = np.diff(w[order]) / np.diff(1.0 / sigma[order])
+        return out[:, 0] - _GUMBEL_LAMBDA, out[:, 1:], kinks
+
+    return evaluate
 
 
-def _stages(z, X, location_method) -> tuple[np.ndarray, np.ndarray, StageDiagnostics]:
+def _stages(z, X, location_method, mu_coef=None):
+    """Regression stages: location coefficients (unless given), scale
+    regression, and their diagnostics."""
     z = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(z)):
         raise ValueError("observations must be finite")
-    mu_coef = robust_location_fit(z, X, method=location_method)
+    if mu_coef is None:
+        mu_coef = robust_location_fit(z, X, method=location_method)
     scale_coef = scale_regression(z, X, mu_coef)
     design = _design_matrix(X, z.size)
     eps = np.abs(z - design @ mu_coef)
@@ -271,45 +329,6 @@ def _stages(z, X, location_method) -> tuple[np.ndarray, np.ndarray, StageDiagnos
         residual_max=float(np.max(eps)),
     )
     return mu_coef, scale_coef, diag
-
-
-def _newton_polish(residual_fn, theta, max_iter=12):
-    """Damped finite-difference Newton steps on the 3-equation system."""
-    r = residual_fn(theta)
-    if r is None:
-        return theta, None
-    for _ in range(max_iter):
-        norm = np.linalg.norm(r)
-        if norm < 1e-12:
-            break
-        jac = np.empty((3, 3))
-        ok = True
-        for j in range(3):
-            h = 1e-6 * (1.0 + abs(theta[j]))
-            stepped = theta.copy()
-            stepped[j] += h
-            rj = residual_fn(stepped)
-            if rj is None:
-                ok = False
-                break
-            jac[:, j] = (rj - r) / h
-        if not ok:
-            break
-        try:
-            delta = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError:
-            break
-        improved = False
-        for damp in (1.0, 0.5, 0.25, 0.125, 0.0625):
-            cand = theta + damp * delta
-            rc = residual_fn(cand)
-            if rc is not None and np.linalg.norm(rc) < norm:
-                theta, r = cand, rc
-                improved = True
-                break
-        if not improved:
-            break
-    return theta, r
 
 
 def _init_candidates(z, cov, mu_coef, scale_coef):
@@ -339,65 +358,72 @@ def _init_candidates(z, cov, mu_coef, scale_coef):
     return candidates
 
 
+def _newton(evaluate, theta, r, jac):
+    """Damped Newton on ``r(theta) = 0`` from a feasible point.
+
+    Each step is halved until the point is feasible and the residual norm
+    decreases; stops below ``_ROOT_TOL``, on a singular Jacobian, or when
+    no halving helps.  Returns ``(theta, norm, evaluations)``.
+    """
+    norm = float(np.linalg.norm(r))
+    n_eval = 0
+    for _ in range(_NEWTON_ITER):
+        if norm < _ROOT_TOL:
+            break
+        try:
+            step = np.linalg.solve(jac, -r)
+        except np.linalg.LinAlgError:
+            break
+        for _ in range(_HALVINGS):
+            trial = evaluate(theta + step)
+            n_eval += 1
+            if trial is not None and np.linalg.norm(trial[0]) < norm:
+                theta = theta + step
+                r, jac = trial[:2]
+                norm = float(np.linalg.norm(r))
+                break
+            step = 0.5 * step
+        else:
+            break
+    return theta, norm, n_eval
+
+
 def fit_ns_lme(
     z, X, location_method: str = "tukey", seed: int = 0, refine: bool = False
 ) -> NsFitResult:
     """Fit by matching transformed-sample L-moments to the Gumbel constants.
 
     Slopes come from the regression stages and stay fixed; the intercepts
-    and shape minimize the squared L-moment mismatch, declared converged
-    when the residual norm drops below 1e-8.  With ``refine`` the scale
-    regression and the matching stage run a second time using the
-    location intercept found by the first pass.
+    and shape solve the three L-moment equations by damped Newton with the
+    exact Jacobian (see :func:`_lmoment_system`), from each start of
+    :func:`_init_candidates` in turn until one reaches a residual norm
+    below 1e-8, which counts as converged.  ``iterations`` counts the
+    evaluations of the equations.  The solver is deterministic: ``seed``
+    has no effect and is accepted for a uniform interface.  With
+    ``refine`` the scale regression and the matching stage run a second
+    time using the location intercept found by the first pass.
     """
-    result = _fit_ns_lme_once(z, X, location_method, seed, None)
+    result = _fit_ns_lme_once(z, X, location_method, None)
     if refine:
-        mu_coef = result.model.mu_coef.copy()
-        result = _fit_ns_lme_once(z, X, location_method, seed, mu_coef)
+        result = _fit_ns_lme_once(z, X, location_method, result.model.mu_coef.copy())
     return result
 
 
-def _fit_ns_lme_once(z, X, location_method, seed, mu_coef_override) -> NsFitResult:
+def _fit_ns_lme_once(z, X, location_method, mu_coef) -> NsFitResult:
     z = np.asarray(z, dtype=float)
-    if mu_coef_override is None:
-        mu_coef, scale_coef, diag = _stages(z, X, location_method)
-    else:
-        mu_coef = mu_coef_override
-        scale_coef = scale_regression(z, X, mu_coef)
-        design = _design_matrix(X, z.size)
-        eps = np.abs(z - design @ mu_coef)
-        diag = StageDiagnostics(
-            location_coef=mu_coef,
-            scale_coef=scale_coef,
-            residual_median=float(np.median(eps)),
-            residual_max=float(np.max(eps)),
-        )
+    mu_coef, scale_coef, diag = _stages(z, X, location_method, mu_coef)
     cov = _design_matrix(X, z.size)[:, 1:]
     mu_slopes, sig_slopes = mu_coef[1:], scale_coef[1:]
-
-    def residual(theta):
-        if not (_XI_LO < theta[2] < _XI_HI):
-            return None
-        lm = _transformed_lmoments(z, cov, mu_slopes, sig_slopes, theta)
-        if lm is None:
-            return None
-        return lm - _GUMBEL_LAMBDA
-
-    def objective(theta):
-        r = residual(theta)
-        if r is None:
-            return SENTINEL
-        return float(r @ r)
+    evaluate = _lmoment_system(z, cov, mu_slopes, sig_slopes)
 
     best_theta, best_norm, evals = None, math.inf, 0
     for theta0 in _init_candidates(z, cov, mu_coef, scale_coef):
-        if objective(theta0) >= SENTINEL:
+        start = evaluate(theta0)
+        evals += 1
+        if start is None:
             continue
-        scale = np.array([0.1 * abs(theta0[0]) + 1.0, 0.1 * abs(theta0[1]) + 0.05, 0.05])
-        res = nelder_mead(objective, theta0, scale, seed=seed, f_target=1e-20, tol=1e-10)
-        evals += res.n_eval
-        theta, r = _newton_polish(residual, res.x)
-        norm = float(np.linalg.norm(r)) if r is not None else math.sqrt(res.fun)
+        theta, norm, n_eval = _newton(evaluate, theta0, *start[:2])
+        evals += n_eval
         if norm < best_norm:
             best_theta, best_norm = theta, norm
         if best_norm < 1e-8:
@@ -419,6 +445,81 @@ def _fit_ns_lme_once(z, X, location_method, seed, mu_coef_override) -> NsFitResu
     return result
 
 
+def _penalty_slopes(penalty, xi: float) -> tuple[float, float]:
+    """First and second derivative of ``penalty.neg_log`` at ``xi`` by
+    central differences, with the step kept inside the penalty's support."""
+    lo, hi = penalty.support
+    h = min(_PENALTY_STEP, 0.25 * (xi - lo), 0.25 * (hi - xi))
+    mid, up, down = penalty.neg_log(xi), penalty.neg_log(xi + h), penalty.neg_log(xi - h)
+    return (up - down) / (2.0 * h), (up - 2.0 * mid + down) / (h * h)
+
+
+def _pinned_step(lhs, grad, mu0_step: float) -> np.ndarray:
+    """Damped Gauss-Newton step with its ``mu0`` component fixed at ``mu0_step``."""
+    rest = np.linalg.solve(lhs[1:, 1:], -(grad[1:] + lhs[1:, 0] * mu0_step))
+    return np.concatenate([[mu0_step], rest])
+
+
+def _levenberg_marquardt(objective, theta, current, penalty, alpha_n: float):
+    """Levenberg-Marquardt on ``0.5 |e|**2 + alpha_n * (-ln p(xi))`` from a
+    feasible point.
+
+    ``objective(theta)`` returns ``(value, e, de/dtheta, kinks)`` (see
+    :func:`_lmoment_system`) or None where infeasible; ``penalty`` is None
+    when it is not in force.  The gradient and Gauss-Newton matrix use the
+    exact Jacobian plus the penalty's slope and (nonnegative part of its)
+    curvature by central differences.  Stops when the relative step is at
+    most ``_LM_XTOL`` or the objective falls by at most
+    ``_LM_FTOL * (1 + |f|)``; converged is False when the evaluation cap
+    is hit first.  Returns ``(theta, objective(theta), evaluations,
+    converged)``.
+    """
+    n_eval = 1
+    damping, converged = _LM_DAMPING, False
+    while n_eval < _LM_MAX_EVAL:
+        value, e, a, kinks = current
+        grad = a.T @ e
+        hess = a.T @ a
+        if penalty is not None:
+            slope, curvature = _penalty_slopes(penalty, theta[2])
+            grad[2] += alpha_n * slope
+            hess[2, 2] += max(alpha_n * curvature, 0.0)
+        lhs = hess + damping * np.diag(np.diag(hess))
+        xtol = _LM_XTOL * (1.0 + np.abs(theta))
+        try:
+            step = np.linalg.solve(lhs, -grad)
+        except np.linalg.LinAlgError:
+            break
+        if np.all(np.abs(step) <= xtol):
+            converged = True
+            break
+        trial = objective(theta + step)
+        n_eval += 1
+        if trial is not None and trial[0] < value:
+            theta, current = theta + step, trial
+            damping = max(damping / 10.0, _LM_DAMPING_MIN)
+            if value - trial[0] <= _LM_FTOL * (1.0 + abs(trial[0])):
+                converged = True
+                break
+            continue
+        damping *= 10.0
+        # Across a kink the Jacobian of one side misjudges the other, and
+        # minima often sit on a kink: retry with mu0 held on the kink the
+        # point is on, else with the step stopped at the first kink ahead.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fractions = kinks / step[0]
+        ahead = fractions[(fractions > 0) & (fractions < 1.0)]
+        if np.any(np.abs(kinks) <= xtol[0]) or ahead.size:
+            on_kink = np.any(np.abs(kinks) <= xtol[0])
+            step = _pinned_step(lhs, grad, 0.0 if on_kink else ahead.min() * step[0])
+            if np.any(np.abs(step) > xtol):
+                trial = objective(theta + step)
+                n_eval += 1
+                if trial is not None and trial[0] < value:
+                    theta, current = theta + step, trial
+    return theta, current, n_eval, converged
+
+
 def fit_ns_glme(
     z,
     X,
@@ -434,43 +535,60 @@ def fit_ns_glme(
 
     Starts from the :func:`fit_ns_lme` solution and reuses its slopes; an
     :class:`AdaptiveBetaRequest` penalty is built from that fit's shape.
+    When the penalty gives that shape zero weight, the search starts at
+    the penalty's mode instead.  The objective
+    ``0.5 * |L^-1 r|**2 + alpha_n * (-ln p(xi)) + C``, with ``V = L L'`` the
+    Gumbel L-moment covariance, is minimized by Levenberg-Marquardt steps
+    (see :func:`_levenberg_marquardt`); ``iterations`` counts the
+    evaluations of the equations.
     """
     z = np.asarray(z, dtype=float)
-    lme = fit_ns_lme(z, X, location_method=location_method, seed=seed, refine=refine)
+    lme = fit_ns_lme(z, X, location_method=location_method, refine=refine)
     if isinstance(penalty, AdaptiveBetaRequest):
         penalty = penalty.build(lme.model.xi)
+    method = "glme" if isinstance(penalty, FlatPenalty) else f"glme.{penalty.label}"
+    penalized = alpha_n != 0
 
     cov = lme.model.covariates
     mu_slopes, sig_slopes = lme.model.mu_coef[1:], lme.model.sigma_coef[1:]
+    evaluate = _lmoment_system(z, cov, mu_slopes, sig_slopes)
     vtilde = gumbel_lmoment_cov(z.size, B=B, seed=seed)
     const = 1.5 * math.log(2.0 * math.pi) + 0.5 * vtilde.log_det
+    l_inv = vtilde.whiten(np.eye(3))
 
     def objective(theta):
-        if not (_XI_LO < theta[2] < _XI_HI):
-            return SENTINEL
-        lm = _transformed_lmoments(z, cov, mu_slopes, sig_slopes, theta)
-        if lm is None:
-            return SENTINEL
-        r = lm - _GUMBEL_LAMBDA
-        val = 0.5 * float(r @ vtilde.solve(r)) + alpha_n * penalty.neg_log(theta[2]) + const
-        return val if math.isfinite(val) else SENTINEL
+        """(value, whitened residual, whitened Jacobian, kinks), or None if infeasible."""
+        system = evaluate(theta)
+        if system is None:
+            return None
+        neg_log = penalty.neg_log(theta[2]) if penalized else 0.0
+        if neg_log >= SENTINEL:
+            return None
+        r, jac, kinks = system
+        e, a = l_inv @ r, l_inv @ jac
+        value = 0.5 * float(e @ e) + alpha_n * neg_log + const
+        return (value, e, a, kinks) if math.isfinite(value) else None
 
-    theta0 = np.array([lme.model.mu_coef[0], lme.model.sigma_coef[0], lme.model.xi])
-    scale = np.array([0.1 * abs(theta0[0]) + 1.0, 0.1 * abs(theta0[1]) + 0.05, 0.05])
-    res = nelder_mead(objective, theta0, scale, seed=seed)
+    theta = np.array([lme.model.mu_coef[0], lme.model.sigma_coef[0], lme.model.xi])
+    if penalized and penalty.neg_log(theta[2]) >= SENTINEL:
+        theta[2] = penalty.mode
+    current = objective(theta)
+    if current is None:
+        raise ConvergenceError(f"{method}: the starting point is infeasible")
 
+    theta, current, n_eval, converged = _levenberg_marquardt(
+        objective, theta, current, penalty if penalized else None, alpha_n
+    )
     model = NsModel(
-        np.concatenate([[res.x[0]], mu_slopes]),
-        np.concatenate([[res.x[1]], sig_slopes]),
-        float(res.x[2]),
+        np.concatenate([[theta[0]], mu_slopes]),
+        np.concatenate([[theta[1]], sig_slopes]),
+        float(theta[2]),
         cov,
     )
-    method = "glme" if isinstance(penalty, FlatPenalty) else f"glme.{penalty.label}"
     result = NsFitResult(
-        model, method, res.fun, res.converged, res.n_eval, lme.stage_diagnostics,
-        penalty, alpha_n,
+        model, method, current[0], converged, n_eval, lme.stage_diagnostics, penalty, alpha_n,
     )
-    if not res.converged:
+    if not converged:
         raise ConvergenceError(f"{method} fit did not converge", best=result)
     return result
 
@@ -482,11 +600,4 @@ def ns_return_level(model: NsModel, T: float, t_index: int) -> float:
 
 def ns_sample(model: NsModel, seed: int) -> np.ndarray:
     """One observation per design row by inverse-CDF sampling."""
-    rng = np.random.default_rng(seed)
-    u = np.maximum(rng.random(model.n_obs), 1e-15)
-    y = -np.log(u)
-    mu = model.mu_values()
-    sigma = model.sigma_values()
-    if abs(model.xi) < XI_EPS:
-        return mu - sigma * np.log(y)
-    return mu + sigma / model.xi * (-np.expm1(model.xi * np.log(y)))
+    return _sample(model.mu_values(), model.sigma_values(), model.xi, model.n_obs, seed)

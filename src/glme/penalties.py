@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from scipy.special import beta as beta_fn
 
@@ -67,14 +68,6 @@ BETA_PRESETS = {
 }
 
 
-def _beta_density(xi: float, p: float, q: float, lower: float, upper: float) -> float:
-    """Beta density rescaled to the interval (lower, upper); 0 outside."""
-    if not lower < xi < upper:
-        return 0.0
-    norm = beta_fn(p, q) * (upper - lower) ** (p + q - 1.0)
-    return (xi - lower) ** (p - 1.0) * (upper - xi) ** (q - 1.0) / norm
-
-
 class _PenaltyBase:
     # open interval outside which the weight is 0
     support = (-math.inf, math.inf)
@@ -100,8 +93,16 @@ class _BetaBase(_PenaltyBase):
     def support(self) -> tuple[float, float]:
         return (self.lower, self.upper)
 
+    @cached_property
+    def _norm(self) -> float:
+        return beta_fn(self.p, self.q) * (self.upper - self.lower) ** (self.p + self.q - 1.0)
+
     def value(self, xi: float) -> float:
-        return _beta_density(xi, self.p, self.q, self.lower, self.upper)
+        """Beta density rescaled to the interval (lower, upper); 0 outside."""
+        if not self.lower < xi < self.upper:
+            return 0.0
+        density = (xi - self.lower) ** (self.p - 1.0) * (self.upper - xi) ** (self.q - 1.0)
+        return density / self._norm
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,13 @@
 
 Everything here evaluates definitions directly (subset enumeration,
 adaptive quadrature, bisection) and deliberately shares no code with the
-package internals.  The one exception is ``glme_fit_nelder_mead``, a
-reference for the *search* of the penalty-weighted L-moment fit: it
-minimizes the package's own objective, by brute force.
+package internals.  The exceptions are ``glme_fit_nelder_mead``,
+``ns_lme_nelder_mead`` and ``ns_glme_nelder_mead``, references for the
+*searches* of the penalty-weighted L-moment fit and of the trend model's
+final stage: they minimize the package's own objectives, by brute force.
 """
 
+import math
 from itertools import combinations
 from math import comb
 
@@ -136,4 +138,123 @@ def glme_fit_nelder_mead(x, V, penalty, alpha_n, seed=0):
 
     scale = [0.1 * abs(start.mu) + 1.0, 0.1 * start.sigma, 0.05]
     res = nelder_mead(objective, start.as_tuple(), scale, seed=seed)
+    return res.x, res.fun
+
+
+def _newton_polish(residual_fn, theta, max_iter=12):
+    """Damped finite-difference Newton steps on the 3-equation system."""
+    r = residual_fn(theta)
+    if r is None:
+        return theta, None
+    for _ in range(max_iter):
+        norm = np.linalg.norm(r)
+        if norm < 1e-12:
+            break
+        jac = np.empty((3, 3))
+        ok = True
+        for j in range(3):
+            h = 1e-6 * (1.0 + abs(theta[j]))
+            stepped = theta.copy()
+            stepped[j] += h
+            rj = residual_fn(stepped)
+            if rj is None:
+                ok = False
+                break
+            jac[:, j] = (rj - r) / h
+        if not ok:
+            break
+        try:
+            delta = np.linalg.solve(jac, -r)
+        except np.linalg.LinAlgError:
+            break
+        improved = False
+        for damp in (1.0, 0.5, 0.25, 0.125, 0.0625):
+            cand = theta + damp * delta
+            rc = residual_fn(cand)
+            if rc is not None and np.linalg.norm(rc) < norm:
+                theta, r = cand, rc
+                improved = True
+                break
+        if not improved:
+            break
+    return theta, r
+
+
+def _ns_system(z, X, mu_coef, scale_coef):
+    from glme.nonstationary import _design_matrix, _lmoment_system
+
+    cov = _design_matrix(X, z.size)[:, 1:]
+    evaluate = _lmoment_system(z, cov, mu_coef[1:], scale_coef[1:])
+    return cov, evaluate
+
+
+def ns_lme_nelder_mead(z, X, location_method="tukey", seed=0):
+    """The trend model's L-moment matching stage by Nelder-Mead.
+
+    The search ``fit_ns_lme`` ran before it used the exact Jacobian: over
+    the package's starting points in order, the seeded Nelder-Mead on the
+    squared residual norm, then finite-difference Newton steps, until one
+    start reaches a residual norm below 1e-8.  Slopes come from the
+    package's regression stages.  Returns ``(theta, residual norm)`` with
+    ``theta = (mu0, log sigma0, xi)``.
+    """
+    from glme._optim import nelder_mead
+    from glme.nonstationary import _init_candidates, _stages
+    from glme.penalties import SENTINEL
+
+    z = np.asarray(z, dtype=float)
+    mu_coef, scale_coef, _ = _stages(z, X, location_method)
+    cov, evaluate = _ns_system(z, X, mu_coef, scale_coef)
+
+    def residual(theta):
+        out = evaluate(theta)
+        return None if out is None else out[0]
+
+    def objective(theta):
+        r = residual(theta)
+        return SENTINEL if r is None else float(r @ r)
+
+    best_theta, best_norm = None, math.inf
+    for theta0 in _init_candidates(z, cov, mu_coef, scale_coef):
+        if objective(theta0) >= SENTINEL:
+            continue
+        scale = np.array([0.1 * abs(theta0[0]) + 1.0, 0.1 * abs(theta0[1]) + 0.05, 0.05])
+        res = nelder_mead(objective, theta0, scale, seed=seed, f_target=1e-20, tol=1e-10)
+        theta, r = _newton_polish(residual, res.x)
+        norm = float(np.linalg.norm(r)) if r is not None else math.sqrt(res.fun)
+        if norm < best_norm:
+            best_theta, best_norm = theta, norm
+        if best_norm < 1e-8:
+            break
+    return best_theta, best_norm
+
+
+def ns_glme_nelder_mead(z, lme_model, penalty, alpha_n, V, seed=0):
+    """The trend model's penalized stage by Nelder-Mead.
+
+    The search ``fit_ns_glme`` ran before it used the exact Jacobian: the
+    seeded Nelder-Mead over ``(mu0, log sigma0, xi)`` from the L-moment fit
+    ``lme_model``, whose slopes stay fixed, on the objective
+    ``0.5 r' V^-1 r + alpha_n * (-ln p(xi)) + C``.  ``penalty`` must already
+    be built.  Returns ``(theta, objective value)``; the value is at least
+    SENTINEL when the simplex never left a zero-weight plateau.
+    """
+    from glme._optim import nelder_mead
+    from glme.penalties import SENTINEL
+
+    z = np.asarray(z, dtype=float)
+    _, evaluate = _ns_system(z, lme_model.covariates, lme_model.mu_coef, lme_model.sigma_coef)
+    const = 1.5 * math.log(2.0 * math.pi) + 0.5 * V.log_det
+
+    def objective(theta):
+        out = evaluate(theta)
+        if out is None:
+            return SENTINEL
+        r = out[0]
+        val = 0.5 * float(r @ V.solve(r)) + alpha_n * penalty.neg_log(theta[2]) + const
+        return val if math.isfinite(val) else SENTINEL
+
+    theta0 = np.array([lme_model.mu_coef[0], lme_model.sigma_coef[0], lme_model.xi])
+    scale = np.array([0.1 * abs(theta0[0]) + 1.0, 0.1 * abs(theta0[1]) + 0.05, 0.05])
+    res = nelder_mead(objective, theta0, scale, seed=seed)
     return res.x, res.fun

@@ -164,6 +164,7 @@ class TestFitNs:
         coef = doc["coefficients"]
         assert coef["mu_1"] == pytest.approx(0.5, abs=0.25)
         assert doc["converged"] is True
+        assert doc["iterations"] >= 1
 
     def test_missing_time_information(self, tmp_path, capsys):
         p = tmp_path / "laneless.csv"

@@ -1,16 +1,19 @@
 """Covariate-model pipeline: regressions, transform, matching, return levels."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from glme.errors import DegenerateDataError, TransformError
+from glme.errors import ConvergenceError, DegenerateDataError, TransformError
 from glme.estimators import fit_lme
 from glme.gev import GevParams, gev_sample, return_level
-from glme.lmoments import GUMBEL_LMOMENTS, CovMatrix3, sample_lmoments
+from glme.lmoments import GUMBEL_LMOMENTS, CovMatrix3, gumbel_lmoment_cov, sample_lmoments
+from glme.methods import parse_method
 from glme.nonstationary import (
     NsModel,
+    _lmoment_system,
     fit_ns_glme,
     fit_ns_lme,
     gev11_design,
@@ -21,7 +24,8 @@ from glme.nonstationary import (
     robust_location_fit,
     scale_regression,
 )
-from glme.penalties import AdaptiveBetaRequest, FlatPenalty
+from glme.penalties import SENTINEL, AdaptiveBetaRequest, FixedBetaPenalty, FlatPenalty
+from glme.simulation import SimCell
 
 
 class TestNsModel:
@@ -229,16 +233,12 @@ class TestFitNsGlme:
         lme = fit_ns_lme(z, X, seed=18)
         built = penalty.build(lme.model.xi)
         # evaluate the glme objective at the lme solution
-        from glme.lmoments import gumbel_lmoment_cov
-        from glme.nonstationary import _transformed_lmoments
-
         vtilde = gumbel_lmoment_cov(z.size, B=1000, seed=18)
         const = 1.5 * math.log(2.0 * math.pi) + 0.5 * vtilde.log_det
-        lm = _transformed_lmoments(
-            z, X.astype(float), lme.model.mu_coef[1:], lme.model.sigma_coef[1:],
-            np.array([lme.model.mu_coef[0], lme.model.sigma_coef[0], lme.model.xi]),
+        evaluate = _lmoment_system(
+            z, X.astype(float), lme.model.mu_coef[1:], lme.model.sigma_coef[1:]
         )
-        r = lm - np.array(GUMBEL_LMOMENTS)
+        r = evaluate(np.array([lme.model.mu_coef[0], lme.model.sigma_coef[0], lme.model.xi]))[0]
         at_lme = 0.5 * float(r @ vtilde.solve(r)) + built.neg_log(lme.model.xi) + const
         assert glme.objective_value <= at_lme + 1e-10
 
@@ -312,3 +312,167 @@ class TestNsSample:
         np.testing.assert_array_equal(a, b)
         first, last = a[:500], a[-500:]
         assert last.mean() - first.mean() == pytest.approx(0.5 * 1500.0, rel=0.05)
+
+    @pytest.mark.parametrize("xi", [-0.45, -1e-3, 0.0, 5e-7, 0.3])
+    def test_bit_identical_to_inverse_cdf_formula(self, xi):
+        # the inverse-CDF draw ns_sample made before it shared the stationary quantile
+        model = NsModel([50.0, 0.5], [2.0, 0.01], xi, gev11_design(300))
+        rng = np.random.default_rng(11)
+        y = -np.log(np.maximum(rng.random(model.n_obs), 1e-15))
+        mu, sigma = model.mu_values(), model.sigma_values()
+        if abs(xi) < 1e-6:
+            want = mu - sigma * np.log(y)
+        else:
+            want = mu + sigma / xi * (-np.expm1(xi * np.log(y)))
+        np.testing.assert_array_equal(ns_sample(model, seed=11), want)
+
+
+class TestLmomentSystem:
+    """The exact Jacobian of the final stage's equations."""
+
+    @staticmethod
+    def _system(xi, seed=3):
+        X = gev11_design(40)
+        z = ns_sample(NsModel([0.0, -0.1], [1.0, 0.02], xi, X), seed=seed)
+        return z, _lmoment_system(z, X.astype(float), np.array([-0.1]), np.array([0.02]))
+
+    @staticmethod
+    def _central_differences(evaluate, theta, steps):
+        jac = np.empty((3, 3))
+        for j, h in enumerate(steps):
+            up, down = theta.copy(), theta.copy()
+            up[j] += h
+            down[j] -= h
+            jac[:, j] = (evaluate(up)[0] - evaluate(down)[0]) / (2.0 * h)
+        return jac
+
+    @pytest.mark.parametrize("xi", [-0.4, -1e-3, -1e-7, 1e-7, 1e-3, 0.4])
+    def test_matches_central_differences(self, xi):
+        _, evaluate = self._system(xi)
+        theta = np.array([0.05, 0.95, xi])
+        r, jac, kinks = evaluate(theta)
+        # a mu0 step must not cross a kink, where the sort order changes;
+        # a shape step leaves the Gumbel band |xi| < 1e-6 on both sides
+        steps = [min(1e-6, 0.1 * np.min(np.abs(kinks))), 1e-6, 1e-6 if abs(xi) > 1e-5 else 1e-4]
+        want = self._central_differences(evaluate, theta, steps)
+        np.testing.assert_allclose(jac, want, rtol=1e-6, atol=1e-8)
+
+    def test_matches_central_differences_near_support_edge(self):
+        xi = 0.4
+        z, evaluate = self._system(xi)
+        X = gev11_design(40)[:, 0]
+        sigma = np.exp(0.95 + 0.02 * X)
+        # mu0 that puts the closest observation at u = 1 - xi*w = 1e-3
+        mu0 = float(np.max(z + 0.1 * X - sigma * (1.0 - 1e-3) / xi))
+        theta = np.array([mu0, 0.95, xi])
+        r, jac, kinks = evaluate(theta)
+        assert evaluate(theta + np.array([0.0, 0.0, 0.01])) is None  # the edge is that close
+        steps = [min(1e-9, 0.1 * np.min(np.abs(kinks))), 1e-9, 1e-9]
+        want = self._central_differences(evaluate, theta, steps)
+        np.testing.assert_allclose(jac, want, rtol=1e-5, atol=1e-6)
+
+    def test_kinks_are_the_mu0_shifts_that_swap_neighbours(self):
+        z, evaluate = self._system(-0.2)
+        kinks = evaluate(np.array([0.05, 0.95, -0.2]))[2]
+        t = kinks[np.argmin(np.abs(kinks))]
+
+        def order(mu0):
+            model = NsModel([mu0, -0.1], [0.95, 0.02], -0.2, gev11_design(40))
+            return np.argsort(gumbel_transform(z, model))
+
+        assert np.array_equal(order(0.05), order(0.05 + 0.99 * t))
+        assert not np.array_equal(order(0.05), order(0.05 + 1.01 * t))
+
+    def test_none_outside_support_and_shape_box(self):
+        _, evaluate = self._system(-0.2)
+        assert evaluate(np.array([0.05, 0.95, 1.0])) is None
+        assert evaluate(np.array([50.0, 0.95, -0.2])) is None
+
+
+class TestZeroWeightLmeShape:
+    """Series whose L-moment shape lies above the adaptive beta cap of 0.3,
+    so the penalty gives the usual start shape zero weight."""
+
+    @pytest.mark.parametrize("xi,seed", [(0.15, 23), (0.3, 9), (0.3, 13)])
+    def test_fit_is_feasible(self, xi, seed):
+        model = SimCell("gev11", xi, 40).truth_model()
+        z = ns_sample(model, seed)
+        assert fit_ns_lme(z, model.covariates).model.xi > 0.3
+        fit = fit_ns_glme(z, model.covariates, AdaptiveBetaRequest(5))
+        assert fit.converged
+        assert fit.objective_value < SENTINEL
+        assert fit.penalty.lower < fit.model.xi < fit.penalty.upper
+
+    def test_infeasible_start_raises(self):
+        # at this penalty's mode (about -0.97) the lme intercepts put data
+        # outside the transform's support
+        model = SimCell("gev11", 0.15, 40).truth_model()
+        z = ns_sample(model, 23)
+        with pytest.raises(ConvergenceError, match="infeasible"):
+            fit_ns_glme(z, model.covariates, FixedBetaPenalty(6.0, 6.0, -0.99, -0.95))
+
+
+# seeded reference corpus of the final stage: (n, shape) -> series seed
+NS_REFERENCE_CELLS = {
+    (n, xi): 7100 + i
+    for i, (n, xi) in enumerate(
+        (n, xi) for n in (40, 70) for xi in (-0.45, -0.3, -0.15, 0.0, 0.15, 0.3)
+    )
+}
+NS_REFERENCE_METHODS = ("glme.b.c1", "glme.b.c5", "glme.n.c3")
+NS_LME_EVALUATIONS = 20
+NS_GLME_EVALUATIONS = 60
+
+
+@functools.lru_cache(maxsize=None)
+def _ns_reference_series(n, xi):
+    model = SimCell("gev11", xi, n).truth_model()
+    return ns_sample(model, NS_REFERENCE_CELLS[(n, xi)]), model.covariates
+
+
+class TestFinalStageAgainstNelderMead:
+    """Newton and Levenberg-Marquardt final stages against the former
+    Nelder-Mead searches of the same equations and objective."""
+
+    @pytest.mark.parametrize("location", ["tukey", "ols"])
+    def test_lme_corpus(self, location):
+        from _oracles import ns_lme_nelder_mead
+
+        problems = []
+        for n, xi in NS_REFERENCE_CELLS:
+            z, X = _ns_reference_series(n, xi)
+            fit = fit_ns_lme(z, X, location_method=location)
+            ref_theta, ref_norm = ns_lme_nelder_mead(z, X, location)
+            theta = np.array([fit.model.mu_coef[0], fit.model.sigma_coef[0], fit.model.xi])
+            gap = np.max(np.abs(theta - ref_theta) / (1.0 + np.abs(ref_theta)))
+            case = f"n={n} xi={xi}"
+            if not ref_norm < 1e-8:
+                problems.append(f"{case}: reference residual norm {ref_norm:.3g}")
+            if gap > 1e-8:
+                problems.append(f"{case}: scaled parameter gap {gap:.3g}")
+            if fit.iterations > NS_LME_EVALUATIONS:
+                problems.append(f"{case}: {fit.iterations} evaluations")
+        assert not problems, "\n".join(problems)
+
+    @pytest.mark.parametrize("location", ["tukey", "ols"])
+    @pytest.mark.parametrize("name", NS_REFERENCE_METHODS)
+    def test_glme_corpus(self, name, location):
+        from _oracles import ns_glme_nelder_mead
+
+        problems = []
+        for n, xi in NS_REFERENCE_CELLS:
+            z, X = _ns_reference_series(n, xi)
+            lme = fit_ns_lme(z, X, location_method=location)
+            penalty = parse_method(name).penalty
+            if isinstance(penalty, AdaptiveBetaRequest):
+                penalty = penalty.build(lme.model.xi)
+            fit = fit_ns_glme(z, X, penalty, B=500, location_method=location)
+            _, ref_fun = ns_glme_nelder_mead(
+                z, lme.model, penalty, 1.0, gumbel_lmoment_cov(n, B=500, seed=0)
+            )
+            case = f"n={n} xi={xi}"
+            if ref_fun < SENTINEL and fit.objective_value > ref_fun + 1e-9:
+                problems.append(f"{case}: objective {fit.objective_value!r} > {ref_fun!r}")
+            if fit.iterations > NS_GLME_EVALUATIONS:
+                problems.append(f"{case}: {fit.iterations} evaluations")
+        assert not problems, "\n".join(problems)
