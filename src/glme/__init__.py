@@ -2,7 +2,13 @@
 trend-bearing annual-maximum series, with a Monte Carlo comparison harness
 and a command-line interface."""
 
-from .errors import ConvergenceError, DegenerateDataError, TransformError
+from .errors import (
+    ConvergenceError,
+    DegenerateDataError,
+    LSkewnessError,
+    PenaltySupportError,
+    TransformError,
+)
 from .estimators import FitResult, fit_glme, fit_gmle, fit_lme, fit_mle, profile_xi
 from .gev import (
     GevParams,

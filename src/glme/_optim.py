@@ -1,15 +1,16 @@
-"""Derivative-free minimizers used by the fitting routines.
+"""Derivative-free minimizers.
 
-Derivative-free search is the right tool here: the objectives are cheap,
-low-dimensional and non-smooth at distribution support boundaries, where
-they are scored with a large finite sentinel rather than an exception.
-
-* ``nelder_mead``: seeded simplex search with jittered restarts, for the
-  2-3 parameter likelihood and trend-model objectives.
 * ``brent``: bounded scalar search (golden section with parabolic steps),
-  for one-dimensional shape profiles.
+  for ``fit_glme``'s one-dimensional shape search.
+* ``nelder_mead``: seeded simplex search with jittered restarts.  No fit
+  calls it any more: the likelihood fits and the trend model's final stage
+  take Newton-type steps on exact derivatives.  It stays as the search of
+  the reference fits in ``tests/_oracles.py``, and the estimator modules
+  keep the name imported for the benchmark's trace hook.
 
-Both are deterministic (``nelder_mead`` given its seed).
+Both are deterministic (``nelder_mead`` given its seed) and accept
+objectives that score infeasible points with a large finite sentinel
+rather than an exception.
 """
 
 from __future__ import annotations

@@ -22,9 +22,8 @@ from .dataio import read_dataset
 from .errors import ConvergenceError
 from .estimators import profile_xi
 from .gev import return_level
-from .methods import MethodSpec, parse_method
+from .methods import parse_method
 from .nonstationary import ns_return_level
-from .penalties import parse_penalty
 from .simulation import run_grid
 from .trend import mann_kendall
 
@@ -203,17 +202,6 @@ def _parse_float_list(text: str, what: str) -> list[float]:
     return out
 
 
-def _method_spec(method: str, penalty_text: str) -> MethodSpec:
-    if "." in method or method in ("lme", "mle"):
-        return parse_method(method)
-    kind = method.lower()
-    if kind not in ("gmle", "glme"):
-        raise ValueError(f"unknown method {method!r}")
-    penalty = parse_penalty(penalty_text)
-    name = kind if penalty_text.strip() == "flat" else f"{kind}.{penalty.label}"
-    return MethodSpec(kind, penalty, name)
-
-
 def _emit_json(payload, out):
     out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -231,7 +219,7 @@ def _fmt_num(x) -> str:
 
 def _cmd_fit(args, out) -> int:
     ds = read_dataset(args.data)
-    spec = _method_spec(args.method, args.penalty)
+    spec = parse_method(args.method, args.penalty)
     periods = _parse_float_list(args.return_periods, "return period")
     fit = spec.fit_stationary(ds.values, cov_method=args.cov, B=args.cov_b,
                               seed=args.seed, alpha_n=args.alpha_n)
@@ -286,7 +274,7 @@ def _ns_design(ds):
 def _cmd_fit_ns(args, out) -> int:
     ds = read_dataset(args.data)
     X = _ns_design(ds)
-    spec = _method_spec(args.method, args.penalty)
+    spec = parse_method(args.method, args.penalty)
     periods = _parse_float_list(args.return_periods, "return period")
     fit = spec.fit_ns(ds.values, X, B=args.cov_b, seed=args.seed,
                       location_method=args.location, refine=args.refine,

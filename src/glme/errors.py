@@ -1,6 +1,12 @@
 """Exception types shared across the fitting modules."""
 
-__all__ = ["ConvergenceError", "DegenerateDataError", "TransformError"]
+__all__ = [
+    "ConvergenceError",
+    "DegenerateDataError",
+    "LSkewnessError",
+    "PenaltySupportError",
+    "TransformError",
+]
 
 
 class ConvergenceError(RuntimeError):
@@ -13,6 +19,16 @@ class ConvergenceError(RuntimeError):
 
 class DegenerateDataError(ValueError):
     """The sample carries no usable variation (e.g. all values equal)."""
+
+
+class LSkewnessError(ValueError):
+    """A sample L-skewness could not be inverted to a GEV shape in (-1, 1):
+    it lies outside the attainable range, or the inversion missed its
+    tolerance."""
+
+
+class PenaltySupportError(ValueError):
+    """A data-adaptive penalty's support came out empty for its shape estimate."""
 
 
 class TransformError(ValueError):

@@ -9,6 +9,8 @@ The grammar mirrors the row labels of comparison tables:
 * ``glme.cd`` -- exponential penalty with default hyperparameters
 * ``glme.<family>:<k=v,...>`` -- anything the penalty grammar accepts
 * ``gmle.<...>`` -- same penalty forms on the likelihood objective
+* ``glme`` / ``gmle`` with a separate penalty description (the CLI's
+  ``--penalty``), named by the penalty's label
 """
 
 from __future__ import annotations
@@ -77,11 +79,15 @@ def _penalty_from_suffix(suffix: str):
     return parse_penalty(suffix)
 
 
-def parse_method(text: str) -> MethodSpec:
+def parse_method(text: str, penalty: str = "flat") -> MethodSpec:
+    """Parse a method name; ``penalty`` (the penalty grammar of
+    :func:`glme.penalties.parse_penalty`) applies to a bare ``gmle`` or
+    ``glme`` only, so ``parse_method("glme", "normal:choice=2")`` equals
+    ``parse_method("glme.n.c2")``."""
     name = text.strip()
     if not name:
         raise ValueError("empty method name")
-    head, _, rest = name.partition(".")
+    head, dot, rest = name.partition(".")
     head = head.lower()
     if head == "lme":
         if rest:
@@ -92,6 +98,9 @@ def parse_method(text: str) -> MethodSpec:
             raise ValueError(f"method {name!r} takes no penalty suffix")
         return MethodSpec("mle", FlatPenalty(), "mle")
     if head in ("glme", "gmle"):
-        penalty = _penalty_from_suffix(rest) if rest else FlatPenalty()
-        return MethodSpec(head, penalty, name)
+        if dot:
+            return MethodSpec(head, _penalty_from_suffix(rest) if rest else FlatPenalty(), name)
+        parsed = parse_penalty(penalty)
+        label = head if penalty.strip() == "flat" else f"{head}.{parsed.label}"
+        return MethodSpec(head, parsed, label)
     raise ValueError(f"unknown method {text!r}")

@@ -27,7 +27,7 @@ import numpy as np
 
 # unused here; perfbench/tracing.py patches glme.nonstationary.nelder_mead by name
 from ._optim import nelder_mead  # noqa: F401
-from .errors import ConvergenceError, DegenerateDataError, TransformError
+from .errors import ConvergenceError, DegenerateDataError, LSkewnessError, TransformError
 from .estimators import fit_lme
 from .gev import XI_EPS, GevParams, _sample, return_level
 from .lmoments import (
@@ -38,7 +38,7 @@ from .lmoments import (
     gumbel_population_lmoments,
     sample_lmoments,
 )
-from .penalties import SENTINEL, AdaptiveBetaRequest, FlatPenalty
+from .penalties import SENTINEL, AdaptiveBetaRequest, FlatPenalty, _penalty_slopes
 
 __all__ = [
     "NsModel",
@@ -65,12 +65,10 @@ _NEWTON_ITER = 50
 _HALVINGS = 30
 
 # fit_ns_glme's Levenberg-Marquardt search: initial and smallest damping,
-# relative-step and objective-decrease tolerances, evaluation cap, and the
-# central-difference step of the penalty derivatives
+# relative-step and objective-decrease tolerances, and evaluation cap
 _LM_DAMPING, _LM_DAMPING_MIN = 1e-3, 1e-12
 _LM_XTOL, _LM_FTOL = 1e-10, 1e-15
 _LM_MAX_EVAL = 200
-_PENALTY_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -348,7 +346,7 @@ def _init_candidates(z, cov, mu_coef, scale_coef):
         fit = fit_lme(detrended).params
         xi0 = float(np.clip(fit.xi, -0.9, 0.9))
         log_scale = math.log(fit.sigma)
-    except (ValueError, DegenerateDataError):
+    except (LSkewnessError, DegenerateDataError):
         pass
     candidates = [np.array([mu_coef[0], scale_coef[0], xi0])]
     if log_scale is not None:
@@ -443,15 +441,6 @@ def _fit_ns_lme_once(z, X, location_method, mu_coef) -> NsFitResult:
             f"L-moment matching stalled at residual norm {best_norm:.3g}", best=result
         )
     return result
-
-
-def _penalty_slopes(penalty, xi: float) -> tuple[float, float]:
-    """First and second derivative of ``penalty.neg_log`` at ``xi`` by
-    central differences, with the step kept inside the penalty's support."""
-    lo, hi = penalty.support
-    h = min(_PENALTY_STEP, 0.25 * (xi - lo), 0.25 * (hi - xi))
-    mid, up, down = penalty.neg_log(xi), penalty.neg_log(xi + h), penalty.neg_log(xi - h)
-    return (up - down) / (2.0 * h), (up - 2.0 * mid + down) / (h * h)
 
 
 def _pinned_step(lhs, grad, mu0_step: float) -> np.ndarray:

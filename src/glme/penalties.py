@@ -25,6 +25,8 @@ from functools import cached_property
 
 from scipy.special import beta as beta_fn
 
+from .errors import PenaltySupportError
+
 __all__ = [
     "SENTINEL",
     "ADAPTIVE_CHOICES",
@@ -41,6 +43,9 @@ __all__ = [
 ]
 
 SENTINEL = 1e300
+
+# central-difference step of the penalty derivatives the solvers use
+_PENALTY_STEP = 1e-5
 
 # choice -> (p, c1, c2); q = p + min(|xi_hat| * c1, c2) for xi_hat <= 0
 ADAPTIVE_CHOICES = {
@@ -71,6 +76,12 @@ BETA_PRESETS = {
 class _PenaltyBase:
     # open interval outside which the weight is 0
     support = (-math.inf, math.inf)
+    # shapes where -ln p is continuous but its slope may jump
+    kinks = ()
+    # a shape around which -ln p dips and away from which it is flat, so that
+    # a penalized objective can have a second minimum there; None when -ln p
+    # has no such well
+    well = None
 
     def value(self, xi: float) -> float:
         raise NotImplementedError
@@ -125,6 +136,7 @@ class ColesDixonPenalty(_PenaltyBase):
     lam: float = 1.0
     family = "cd"
     support = (-1.0, math.inf)
+    kinks = (0.0,)
 
     def __post_init__(self):
         if self.alpha < 0 or self.lam < 0:
@@ -161,6 +173,10 @@ class NormalPenalty(_PenaltyBase):
             raise ValueError(f"normal penalty choice must be 1..4, got {choice}")
         mean, sd = NORMAL_CHOICES[choice]
         return cls(mean, sd, choice=choice)
+
+    @property
+    def well(self) -> float:
+        return self.mean
 
     @property
     def label(self) -> str:
@@ -241,10 +257,19 @@ def build_beta_adaptive(choice: int, xi_hat: float, c0: float = 0.3) -> Adaptive
     lower = max(-1.0, xi_hat - c0)
     upper = min(0.3, xi_hat + c0)
     if lower >= upper:
-        raise ValueError(
+        raise PenaltySupportError(
             f"degenerate support ({lower:g}, {upper:g}) for xi_hat={xi_hat:g}, c0={c0:g}"
         )
     return AdaptiveBetaPenalty(choice, xi_hat, c0, p, p + a, lower, upper)
+
+
+def _penalty_slopes(penalty, xi: float) -> tuple[float, float]:
+    """First and second derivative of ``penalty.neg_log`` at ``xi`` by
+    central differences, with the step kept inside the penalty's support."""
+    lo, hi = penalty.support
+    h = min(_PENALTY_STEP, 0.25 * (xi - lo), 0.25 * (hi - xi))
+    mid, up, down = penalty.neg_log(xi), penalty.neg_log(xi + h), penalty.neg_log(xi - h)
+    return (up - down) / (2.0 * h), (up - 2.0 * mid + down) / (h * h)
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@ a sample size and a list of estimators; each of N trials draws one sample
 isolation) and every estimator produces a T-year return level.  Bias, SE
 and RMSE use 1/N normalization throughout, which makes
 ``rmse**2 == bias**2 + se**2`` an exact identity.  Trials where a fit
-fails are excluded from the metrics and counted; a method failing more
-than 20% of its trials is flagged unreliable.
+fails with one of the typed errors the fitters raise on purpose are
+excluded from the metrics and counted; any other exception propagates.  A
+method failing more than 20% of its trials is flagged unreliable.
 
 Cells are independent, so a grid can run across processes; per-trial
 seeding guarantees identical output for any degree of parallelism.
@@ -20,7 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateDataError, TransformError
+from .errors import (
+    ConvergenceError,
+    DegenerateDataError,
+    LSkewnessError,
+    PenaltySupportError,
+    TransformError,
+)
 from .gev import GevParams, gev_sample, return_level
 from .methods import MethodSpec, parse_method
 from .nonstationary import NsModel, gev11_design, ns_return_level, ns_sample
@@ -48,13 +55,15 @@ DEFAULT_GEV11_METHODS = ("lme", "glme.n.c3", "glme.b.c1")
 # each cell of a grid offsets its trial seeds by this stride
 _CELL_SEED_STRIDE = 1_000_000
 
+# the failures a fit raises on purpose for a sample it cannot handle; any
+# other exception is a programming error and propagates
 _FAILURE_EXCEPTIONS = (
-    ValueError,
     ConvergenceError,
     DegenerateDataError,
+    LSkewnessError,
+    PenaltySupportError,
     TransformError,
     np.linalg.LinAlgError,
-    ArithmeticError,
 )
 
 

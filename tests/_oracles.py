@@ -2,10 +2,12 @@
 
 Everything here evaluates definitions directly (subset enumeration,
 adaptive quadrature, bisection) and deliberately shares no code with the
-package internals.  The exceptions are ``glme_fit_nelder_mead``,
-``ns_lme_nelder_mead`` and ``ns_glme_nelder_mead``, references for the
-*searches* of the penalty-weighted L-moment fit and of the trend model's
-final stage: they minimize the package's own objectives, by brute force.
+package internals.  The exceptions are ``likelihood_fit_nelder_mead``,
+``glme_fit_nelder_mead``, ``ns_lme_nelder_mead`` and
+``ns_glme_nelder_mead``, references for the *searches* of the
+(penalized) likelihood fit, of the penalty-weighted L-moment fit and of the
+trend model's final stage: they minimize the package's own objectives, by
+brute force.
 """
 
 import math
@@ -113,6 +115,44 @@ def quantile_by_bisection(cdf, p, lo, hi, tol=1e-12, max_iter=200):
         if hi - lo < tol:
             break
     return 0.5 * (lo + hi)
+
+
+def likelihood_fit_nelder_mead(x, penalty, init=None, seed=0):
+    """(Penalized) likelihood fit by 3-D Nelder-Mead over (mu, sigma, xi).
+
+    The search ``fit_mle``/``fit_gmle`` ran before they took Newton steps
+    on the exact derivatives: from ``init`` or else the package's default
+    start (without its feasibility repair), moved to the penalty's mode
+    when the penalty gives the start shape zero weight, with the package's
+    seeded jittered restarts, on the same objective and shape box.
+    ``penalty`` must already be built.  Returns ``(params array, objective
+    value)``; the value is at least SENTINEL when the simplex never left the
+    infeasible region.
+    """
+    from glme._optim import nelder_mead
+    from glme.estimators import _XI_HI, _XI_LO, _default_init, gev_neg_loglik
+    from glme.gev import GevParams
+    from glme.penalties import SENTINEL
+
+    x = np.asarray(x, dtype=float)
+    start = init if init is not None else _default_init(x)
+    if penalty.neg_log(start.xi) >= SENTINEL:
+        start = GevParams(start.mu, start.sigma, penalty.mode)
+
+    def objective(theta):
+        mu, sigma, xi = theta
+        if not _XI_LO < xi < _XI_HI:
+            return SENTINEL
+        neg_log = penalty.neg_log(xi)
+        nll = gev_neg_loglik(x, mu, sigma, xi)
+        if neg_log >= SENTINEL or nll >= SENTINEL:
+            return SENTINEL
+        value = nll + neg_log
+        return value if math.isfinite(value) else SENTINEL
+
+    scale = [0.1 * abs(start.mu) + 1.0, 0.1 * start.sigma, 0.05]
+    res = nelder_mead(objective, start.as_tuple(), scale, seed=seed)
+    return res.x, res.fun
 
 
 def glme_fit_nelder_mead(x, V, penalty, alpha_n, seed=0):

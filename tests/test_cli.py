@@ -3,12 +3,15 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import glme
 from glme.cli import main
 from glme.dataio import Dataset, fixture_path, read_dataset
 from glme.nonstationary import NsModel, gev11_design, ns_sample
@@ -334,10 +337,14 @@ class TestConfig:
 
 class TestEntryPoint:
     def test_module_invocation(self, flood_csv):
+        # the child finds the package where this process found it
+        src = str(Path(glme.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "glme.cli", "trend", flood_csv],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert "tau=-0.058" in proc.stdout

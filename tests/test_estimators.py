@@ -6,8 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from glme.errors import ConvergenceError, DegenerateDataError
+from glme.errors import ConvergenceError, DegenerateDataError, LSkewnessError, PenaltySupportError
 from glme.estimators import (
+    _default_init,
+    _nll_terms,
+    _penalized_nll,
+    _shape_derivatives,
     fit_glme,
     fit_gmle,
     fit_lme,
@@ -107,6 +111,15 @@ class TestFitMle:
         a, b = fit_mle(x, seed=3), fit_mle(x, seed=3)
         assert a.params == b.params
         assert a.objective_value == b.objective_value
+
+    def test_seed_has_no_effect(self):
+        x = gev_sample(GevParams(10.0, 2.0, -0.1), 50, seed=9)
+        assert fit_mle(x, seed=3) == fit_mle(x, seed=4)
+
+    def test_objective_value_is_the_objective_at_the_estimate(self):
+        x = gev_sample(GevParams(100.0, 30.0, 0.2), 40, seed=8)
+        fit = fit_mle(x)
+        assert fit.objective_value == gev_neg_loglik(x, *fit.params.as_tuple())
 
 
 class TestFitGmle:
@@ -291,6 +304,195 @@ class TestZeroWeightStart:
         assert err.value.best.objective_value >= SENTINEL
 
 
+def _central_differences(x, theta, rel=1e-7):
+    """Gradient of the value and Hessian (from the gradient) of
+    ``_nll_terms`` by central differences in (mu, sigma, xi)."""
+    grad, hess = np.empty(3), np.empty((3, 3))
+    for j in range(3):
+        h = rel * (1.0 + abs(theta[j]))
+        up, down = theta.copy(), theta.copy()
+        up[j] += h
+        down[j] -= h
+        v_up, g_up, _ = _nll_terms(x, *up)
+        v_down, g_down, _ = _nll_terms(x, *down)
+        grad[j] = (v_up - v_down) / (2.0 * h)
+        hess[:, j] = (g_up - g_down) / (2.0 * h)
+    return grad, hess
+
+
+class TestLikelihoodDerivatives:
+    X = gev_sample(GevParams(100.0, 30.0, 0.1), 40, seed=17)
+
+    @pytest.mark.parametrize("xi", [1e-7, -1e-7, 1e-3, -1e-3, 0.4, -0.4])
+    def test_match_central_differences(self, xi):
+        theta = np.array([100.0, 60.0, xi])
+        value, grad, hess = _nll_terms(self.X, *theta)
+        assert value == gev_neg_loglik(self.X, *theta)
+        num_grad, num_hess = _central_differences(self.X, theta)
+        np.testing.assert_allclose(grad, num_grad, rtol=1e-6, atol=1e-6)
+        np.testing.assert_allclose(hess, num_hess, rtol=1e-6, atol=1e-6)
+        np.testing.assert_allclose(hess, hess.T, rtol=1e-12)
+
+    @pytest.mark.parametrize("xi", [0.4, -0.4])
+    def test_match_central_differences_near_the_support_edge(self, xi):
+        # the extreme observation sits at u = 1e-3 from the support's end
+        sigma = 60.0
+        edge = self.X.max() if xi > 0 else self.X.min()
+        mu = edge - sigma * (1.0 - 1e-3) / xi
+        theta = np.array([mu, sigma, xi])
+        u = 1.0 - xi * (self.X - mu) / sigma
+        assert u.min() == pytest.approx(1e-3, rel=1e-9)
+        _, grad, hess = _nll_terms(self.X, *theta)
+        num_grad, num_hess = _central_differences(self.X, theta, rel=1e-9)
+        np.testing.assert_allclose(grad, num_grad, rtol=1e-5, atol=1e-5)
+        np.testing.assert_allclose(hess, num_hess, rtol=1e-5, atol=1e-5)
+
+    def test_series_meets_the_closed_forms(self):
+        # either side of |xi z| = 0.1, where the series takes over
+        z = np.array([1.0])
+        sides = []
+        for xi in (0.1 * (1.0 - 1e-12), 0.1 * (1.0 + 1e-12)):
+            u = 1.0 - xi * z
+            sides.append(_shape_derivatives(z, u, -np.log1p(-xi * z) / xi, xi))
+        for a, b in zip(*sides):
+            assert a[0] == pytest.approx(b[0], rel=1e-11)
+
+    def test_gumbel_limit(self):
+        z = np.array([-2.0, 0.5, 3.0])
+        y1, y2 = _shape_derivatives(z, np.ones(3), z, 0.0)
+        np.testing.assert_allclose(y1, z**2 / 2, rtol=1e-15)
+        np.testing.assert_allclose(y2, 2 * z**3 / 3, rtol=1e-15)
+        assert gev_neg_loglik(z, 0.0, 1.0, 0.0) == pytest.approx(
+            np.sum(z) + np.sum(np.exp(-z)), rel=1e-15)
+
+    def test_outside_support_is_none(self):
+        assert _nll_terms(np.array([0.0, 5.0, 10.0]), 0.0, 1.0, 0.3) is None
+        assert _nll_terms(np.array([0.0, 5.0]), 0.0, 0.0, 0.0) is None
+
+
+# (n, shape) cells of the likelihood reference corpus, each with its sample seed
+LIKELIHOOD_CELLS = {
+    (n, xi): 9300 + i
+    for i, (n, xi) in enumerate((n, xi) for n in (10, 30, 70) for xi in (-0.45, 0.0, 0.45))
+}
+LIKELIHOOD_METHODS = ("mle", "gmle.b.c1", "gmle.b.c6", "gmle.n.c2", "gmle.ms", "gmle.cd")
+
+
+def _check_against_nelder_mead(x, penalty, max_evals, case):
+    """Problems of the Newton fit of ``x`` against the former Nelder-Mead
+    search: a higher objective, a different estimate of the same minimum,
+    too many evaluations, no convergence."""
+    from _oracles import likelihood_fit_nelder_mead
+
+    ref_x, ref_fun = likelihood_fit_nelder_mead(x, penalty)
+    try:
+        fit = fit_gmle(x, penalty)
+    except ConvergenceError as err:
+        return [f"{case}: no convergence ({err}), oracle objective {ref_fun!r}"]
+    problems = []
+    if fit.objective_value != _penalized_nll(x, penalty)(*fit.params.as_tuple())[0]:
+        problems.append(f"{case}: objective differs from the objective at the estimate")
+    if fit.objective_value > ref_fun + 1e-9:
+        problems.append(f"{case}: objective {fit.objective_value!r} > {ref_fun!r}")
+    if fit.iterations > max_evals:
+        problems.append(f"{case}: {fit.iterations} evaluations")
+    # a lower objective is another (better) minimum, with other parameters
+    if ref_fun < SENTINEL and fit.objective_value >= ref_fun - 1e-9:
+        scale = np.array([1.0 + abs(ref_x[0]), 1.0 + ref_x[1], 1.0])
+        gap = np.max(np.abs(np.array(fit.params.as_tuple()) - ref_x) / scale)
+        if gap > 1e-6:
+            problems.append(f"{case}: scaled parameter gap {gap:.3g}")
+    return problems
+
+
+class TestLikelihoodAgainstNelderMead:
+    """Newton steps on the exact derivatives against the former 3-D
+    Nelder-Mead search of the same objective, on a seeded corpus."""
+
+    @pytest.mark.parametrize("name", LIKELIHOOD_METHODS)
+    def test_corpus(self, name):
+        problems = []
+        for (n, xi), seed in LIKELIHOOD_CELLS.items():
+            x = gev_sample(GevParams(100.0, 30.0, xi), n, seed=seed)
+            case = f"{name} n={n} xi={xi}"
+            try:
+                penalty = _built_penalty(name, x)
+            except (LSkewnessError, PenaltySupportError) as err:
+                with pytest.raises(type(err)):
+                    parse_method(name).fit_stationary(x)
+                continue
+            problems += _check_against_nelder_mead(x, penalty, 40, case)
+        assert not problems, "\n".join(problems)
+
+    # n=10 samples whose likelihood falls all the way to an edge of the shape
+    # box: the upper edge, where the largest observation ends up at the
+    # support's end (xi -> 1), and the lower one
+    EDGE_SAMPLES = [(0.45, 7086, 1.0), (0.0, 7026, 1.0), (0.45, 9205, 1.0), (-0.45, 9255, -1.0)]
+
+    @pytest.mark.parametrize("name", LIKELIHOOD_METHODS)
+    @pytest.mark.parametrize("xi,seed,edge", EDGE_SAMPLES)
+    def test_shape_box_edges(self, name, xi, seed, edge):
+        x = gev_sample(GevParams(100.0, 30.0, xi), 10, seed=seed)
+        assert fit_mle(x).params.xi == pytest.approx(edge, abs=1e-7)
+        penalty = _built_penalty(name, x)
+        # a penalty with a well searches from two starts
+        starts = 1 if penalty.well is None else 2
+        problems = _check_against_nelder_mead(x, penalty, 40 * starts, name)
+        assert not problems, "\n".join(problems)
+
+
+class TestInfeasibleDefaultStart:
+    """Samples whose L-moment estimate puts an observation outside its own
+    support; the default start then widens the scale."""
+
+    CASES = [(30, 0.45, 9403), (30, -0.45, 9548), (50, 0.3, 9407), (50, -0.15, 9578),
+             (70, 0.15, 9523), (70, -0.3, 9578), (70, 0.45, 9403), (50, 0.45, 9403)]
+
+    @pytest.mark.parametrize("n,xi,seed", CASES)
+    def test_fit_converges_from_the_repaired_start(self, n, xi, seed):
+        x = gev_sample(GevParams(100.0, 30.0, xi), n, seed=seed)
+        start = _default_init(x)
+        assert np.any(1.0 - start.xi * (x - start.mu) / start.sigma <= 0)
+        problems = []
+        for name in ("mle", "gmle.n.c2", "gmle.cd"):
+            problems += _check_against_nelder_mead(x, _built_penalty(name, x), 40, name)
+        assert not problems, "\n".join(problems)
+
+    def test_given_init_is_not_repaired(self):
+        x = gev_sample(GevParams(100.0, 30.0, 0.45), 30, seed=9403)
+        start = _default_init(x)
+        with pytest.raises(ConvergenceError, match="infeasible") as err:
+            fit_mle(x, init=start)
+        assert err.value.best.objective_value >= SENTINEL
+
+
+class TestOutOfRangeSkewness:
+    """A sample whose L-skewness lies below the range attainable for a GEV
+    shape in (-1, 1)."""
+
+    @pytest.fixture(scope="class")
+    def sample(self):
+        x = gev_sample(GevParams(100.0, 30.0, 0.2), 30, seed=11)
+        x[np.argmin(x)] -= 400.0
+        assert sample_lmoments(x).t3 < -1.0 / 3.0
+        return x
+
+    @pytest.mark.parametrize("name", ["lme", "gmle.b.c1", "glme.b.c1"])
+    def test_estimators_needing_the_lmoment_shape_raise(self, sample, name):
+        with pytest.raises(LSkewnessError, match="L-skewness"):
+            parse_method(name).fit_stationary(sample, B=200)
+
+    @pytest.mark.parametrize("name", ["mle", "gmle.ms", "gmle.n.c2", "gmle.cd"])
+    def test_likelihood_fits_start_from_the_gumbel_fit(self, sample, name):
+        problems = _check_against_nelder_mead(sample, _built_penalty(name, sample), 80, name)
+        assert not problems, "\n".join(problems)
+
+    @pytest.mark.parametrize("name", ["glme", "glme.ms"])
+    def test_glme_needs_no_lmoment_shape(self, sample, name):
+        fit = parse_method(name).fit_stationary(sample, B=200)
+        assert fit.converged
+
+
 FLOOD_ROWS = [
     # method, mu, sigma, xi, r100
     ("mle", 119.17, 102.09, -0.608, 2709.0),
@@ -365,6 +567,22 @@ class TestProfile:
         for _ in range(20):
             other = GevParams(mu * rng.uniform(0.95, 1.05), sigma * rng.uniform(0.95, 1.05), xi)
             assert -glme_objective(x, V, other, fit.penalty) <= point.value + 1e-12
+
+    def test_mle_values_are_maxima(self, flood):
+        x = flood.values
+        fit = fit_mle(x)
+        [point] = profile_xi(x, "mle", grid=[fit.params.xi])
+        assert point.converged
+        assert point.value == pytest.approx(-fit.objective_value, abs=1e-9)
+        # shapes up to 0.3 put the largest flood loss outside the support of
+        # the L-moment start; the start's scale is widened there
+        points = profile_xi(x, "mle", grid=np.linspace(-0.9, 0.3, 13))
+        assert all(p.converged for p in points)
+        assert max(p.value for p in points) <= point.value + 1e-9
+        rng = np.random.default_rng(1)
+        for p in points:
+            mu, sigma = rng.uniform(100.0, 140.0), rng.uniform(80.0, 140.0)
+            assert -gev_neg_loglik(x, mu, sigma, p.xi) <= p.value
 
     def test_infeasible_points_flagged(self, flood):
         points = profile_xi(flood.values, "glme", FixedBetaPenalty.from_preset("ms"),

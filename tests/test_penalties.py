@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from glme.errors import PenaltySupportError
 from glme.penalties import (
     ADAPTIVE_CHOICES,
     BETA_PRESETS,
@@ -143,7 +144,7 @@ class TestAdaptiveBeta:
         assert pen.upper == pytest.approx(-0.6)
 
     def test_degenerate_support_rejected(self):
-        with pytest.raises(ValueError, match="support"):
+        with pytest.raises(PenaltySupportError, match="support"):
             build_beta_adaptive(1, -1.5)
 
     @pytest.mark.parametrize("choice,xi_hat", [(1, -0.4), (5, -0.1), (6, -0.25)])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from glme.errors import ConvergenceError
 from glme.gev import GevParams, return_level
 from glme.simulation import (
     DEFAULT_GEV11_METHODS,
@@ -24,12 +25,12 @@ def truth_teller(data, seed):
 
 def flaky(data, seed):
     if seed % 3 == 0:
-        raise ValueError("refuses this trial")
+        raise ConvergenceError("refuses this trial")
     return 123.0
 
 
 def always_fails(data, seed):
-    raise ValueError("no")
+    raise ConvergenceError("no")
 
 
 class TestMetrics:
@@ -100,6 +101,16 @@ class TestRunCell:
         rep = run_cell(cell)
         assert rep.methods[0].n_failures == 0
         assert rep.methods[1].n_failures == 10
+
+    @pytest.mark.parametrize("error", [TypeError, ValueError, ArithmeticError])
+    def test_programming_errors_propagate(self, error):
+        # only the typed failures the fitters raise on purpose count as failed trials
+        def broken(data, seed):
+            raise error("a bug, not a failed fit")
+
+        cell = SimCell("stationary", -0.3, 30, (("broken", broken),), N=3, base_seed=0)
+        with pytest.raises(error, match="a bug"):
+            run_cell(cell)
 
     def test_gev11_scenario_runs(self):
         cell = SimCell("gev11", -0.2, 40, ("lme",), N=5, base_seed=0, B=200)
