@@ -121,7 +121,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
         help="covariance estimator inside each trial",
     )
     p.add_argument("--cov-b", type=int, default=500, help="bootstrap resamples per trial")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
+    p.add_argument(
+        "--jobs", type=int, default=1,
+        help="worker processes; each cell's trials are spread across them (default 1)",
+    )
     _common_flags(p)
 
     p = registry["profile"] = subparsers.add_parser(
@@ -213,6 +216,13 @@ def _emit_csv(header, rows, out):
         writer.writerow(row)
 
 
+def _emit_table(cols, vals, out):
+    """A header line and one row, each column as wide as its wider cell."""
+    width = [max(len(c), len(v)) for c, v in zip(cols, vals)]
+    out.write("  ".join(c.ljust(w) for c, w in zip(cols, width)).rstrip() + "\n")
+    out.write("  ".join(v.ljust(w) for v, w in zip(vals, width)).rstrip() + "\n")
+
+
 def _fmt_num(x) -> str:
     return repr(float(x))
 
@@ -254,9 +264,7 @@ def _cmd_fit(args, out) -> int:
         cols = ["method", "mu", "sigma", "xi"] + [f"r{T:g}" for T in periods]
         vals = [fit.method, f"{fit.params.mu:.2f}", f"{fit.params.sigma:.2f}",
                 f"{fit.params.xi:.2f}"] + [f"{levels[T]:.0f}" for T in periods]
-        width = [max(len(c), len(v)) for c, v in zip(cols, vals)]
-        out.write("  ".join(c.ljust(w) for c, w in zip(cols, width)).rstrip() + "\n")
-        out.write("  ".join(v.ljust(w) for v, w in zip(vals, width)).rstrip() + "\n")
+        _emit_table(cols, vals, out)
     return EXIT_OK
 
 
@@ -338,9 +346,7 @@ def _cmd_fit_ns(args, out) -> int:
         vals = [fit.method] + [f"{v:.3f}" for v in coef_vals] + [
             f"{levels[T]:.0f}" for T in periods
         ]
-        width = [max(len(c), len(v)) for c, v in zip(cols, vals)]
-        out.write("  ".join(c.ljust(w) for c, w in zip(cols, width)).rstrip() + "\n")
-        out.write("  ".join(v.ljust(w) for v, w in zip(vals, width)).rstrip() + "\n")
+        _emit_table(cols, vals, out)
     return EXIT_OK
 
 

@@ -195,8 +195,9 @@ def _check_sample(x, min_n: int) -> np.ndarray:
         raise ValueError("x must be finite")
     if arr.size < min_n:
         raise ValueError(f"need at least {min_n} observations, got {arr.size}")
-    if np.ptp(arr) == 0:
-        raise DegenerateDataError("sample is constant")
+    if np.unique(arr).size < 3:
+        # with only two distinct values the likelihood is unbounded (sigma -> 0)
+        raise DegenerateDataError("sample has fewer than 3 distinct values")
     return arr
 
 

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.special import gamma as gamma_fn
 
 from .errors import DegenerateDataError
@@ -171,7 +170,7 @@ class CovMatrix3:
 
     entries: np.ndarray
     source: str
-    _cho: tuple = field(default=None, repr=False, compare=False)
+    _chol: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.entries = np.asarray(self.entries, dtype=float)
@@ -180,13 +179,19 @@ class CovMatrix3:
         if not np.allclose(self.entries, self.entries.T, atol=1e-12):
             raise ValueError("covariance must be symmetric")
 
-    def _factor(self):
-        if self._cho is None:
-            self._cho = cho_factor(self.entries, lower=True)
-        return self._cho
+    def _factor(self) -> np.ndarray:
+        """The lower Cholesky factor ``L`` of ``V = L L'``."""
+        if self._chol is None:
+            self._chol = np.linalg.cholesky(self.entries)
+        return self._chol
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return cho_solve(self._factor(), rhs)
+        """``V^{-1} rhs``: :meth:`whiten`, then back substitution through ``L'``."""
+        c = self._factor()
+        out = self.whiten(rhs)
+        for i in (2, 1, 0):
+            out[i] = (out[i] - c[i + 1:, i] @ out[i + 1:]) / c[i, i]
+        return out
 
     def whiten(self, rhs: np.ndarray) -> np.ndarray:
         """``L^{-1} rhs`` for the Cholesky factor ``V = L L'``, so that
@@ -195,7 +200,7 @@ class CovMatrix3:
         Forward substitution over the three rows; ``rhs`` has shape (3,) or
         (3, k).
         """
-        c, _ = self._factor()
+        c = self._factor()
         out = np.array(rhs, dtype=float)
         for i in range(3):
             out[i] = (out[i] - c[i, :i] @ out[:i]) / c[i, i]
@@ -203,7 +208,7 @@ class CovMatrix3:
 
     @property
     def log_det(self) -> float:
-        c, _ = self._factor()
+        c = self._factor()
         return float(2.0 * np.sum(np.log(np.diag(c))))
 
     @property

@@ -10,8 +10,9 @@ fails with one of the typed errors the fitters raise on purpose are
 excluded from the metrics and counted; any other exception propagates.  A
 method failing more than 20% of its trials is flagged unreliable.
 
-Cells are independent, so a grid can run across processes; per-trial
-seeding guarantees identical output for any degree of parallelism.
+Trials are independent, so a grid's trials can be spread across worker
+processes; per-trial seeding and merging each cell's trials back in trial
+order guarantee identical output for any degree of parallelism.
 """
 
 from __future__ import annotations
@@ -143,8 +144,9 @@ def _estimate_ns(spec: MethodSpec, z, X, cell: SimCell, seed: int) -> float:
     return ns_return_level(fit.model, cell.T, cell.n - 1)
 
 
-def run_cell(cell: SimCell) -> SimReport:
-    """Run every trial of a cell and summarize each method.
+def _run_trials(cell: SimCell, lo: int, hi: int) -> tuple[dict, dict]:
+    """Run trials ``lo..hi-1`` of a cell: each method's estimates in trial
+    order and its failure count, keyed by method name.
 
     Methods may be strings for :func:`glme.methods.parse_method` or
     ``(name, callable)`` pairs where the callable maps (data, seed) to a
@@ -159,12 +161,11 @@ def run_cell(cell: SimCell) -> SimReport:
             name, fn = m
             specs.append((name, None, fn))
 
-    truth = cell.true_return_level()
     truth_model = cell.truth_model() if cell.scenario == "gev11" else None
     estimates = {name: [] for name, _, _ in specs}
     failures = {name: 0 for name, _, _ in specs}
 
-    for trial in range(cell.N):
+    for trial in range(lo, hi):
         seed = cell.base_seed + trial
         if cell.scenario == "stationary":
             data = gev_sample(GevParams(cell.mu, cell.sigma, cell.xi), cell.n, seed)
@@ -185,9 +186,15 @@ def run_cell(cell: SimCell) -> SimReport:
                 estimates[name].append(r)
             except _FAILURE_EXCEPTIONS:
                 failures[name] += 1
+    return estimates, failures
 
+
+def _summarize(cell: SimCell, estimates: dict, failures: dict) -> SimReport:
+    """Score each method's estimates over all N trials of a cell."""
+    truth = cell.true_return_level()
     reports = []
-    for name, _, _ in specs:
+    for m in cell.methods:
+        name = m if isinstance(m, str) else m[0]
         est = estimates[name]
         n_fail = failures[name]
         if est:
@@ -210,6 +217,12 @@ def run_cell(cell: SimCell) -> SimReport:
             )
         )
     return SimReport(cell, tuple(reports))
+
+
+def run_cell(cell: SimCell) -> SimReport:
+    """Run every trial of a cell and summarize each method (see
+    :func:`_run_trials` for the forms a method may take)."""
+    return _summarize(cell, *_run_trials(cell, 0, cell.N))
 
 
 def build_grid(
@@ -252,6 +265,28 @@ def build_grid(
     return cells
 
 
+def _spread_trials(cells: list[SimCell], jobs: int):
+    """Yield each cell's report in cell order, its trials cut into at most
+    ``jobs`` contiguous ranges that run across ``jobs`` worker processes."""
+    parts = [min(jobs, cell.N) for cell in cells]
+    tasks = []  # (cell, lo, hi), each cell's ranges adjacent and in trial order
+    for cell, k in zip(cells, parts):
+        bounds = [cell.N * j // k for j in range(k + 1)]
+        tasks += [(cell, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    if not tasks:
+        return
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+        results = pool.map(_run_trials, *zip(*tasks))
+        for cell, k in zip(cells, parts):
+            estimates, failures = next(results)
+            for _ in range(k - 1):
+                more, more_failures = next(results)
+                for name, est in more.items():
+                    estimates[name] += est
+                    failures[name] += more_failures[name]
+            yield _summarize(cell, estimates, failures)
+
+
 def run_grid(
     scenario: str = "stationary",
     xis=None,
@@ -266,18 +301,17 @@ def run_grid(
     progress=None,
 ) -> list[SimReport]:
     """Run a (xi, n) grid of cells; output order is deterministic and
-    independent of ``jobs``."""
+    independent of ``jobs``.
+
+    With ``jobs > 1`` each cell's trials are cut into at most ``jobs``
+    contiguous ranges that run across worker processes; a cell's ranges are
+    merged in trial order, so every report equals the serial one.
+    ``progress(done, total, cell)`` is called once per cell, in cell order.
+    """
     cells = build_grid(scenario, xis, ns, methods, N, base_seed, T, cov_method, B)
     reports = []
-    if jobs <= 1:
-        for i, cell in enumerate(cells):
-            reports.append(run_cell(cell))
-            if progress is not None:
-                progress(i + 1, len(cells), cell)
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for i, report in enumerate(pool.map(run_cell, cells)):
-                reports.append(report)
-                if progress is not None:
-                    progress(i + 1, len(cells), report.cell)
+    for report in map(run_cell, cells) if jobs <= 1 else _spread_trials(cells, jobs):
+        reports.append(report)
+        if progress is not None:
+            progress(len(reports), len(cells), report.cell)
     return reports

@@ -124,6 +124,13 @@ class TestFit:
         assert "129.89" in line and "120.70" in line
         assert "1205" in line and "1627" in line  # integers for levels
 
+    def test_table_bytes(self, flood_csv, capsys):
+        _, out, _ = run_cli(["fit", flood_csv, "--method", "lme"], capsys)
+        assert out == (
+            "method  mu      sigma   xi     r50   r100  r200\n"
+            "lme     129.89  120.70  -0.38  1205  1627  2172\n"
+        )
+
     def test_empty_file_no_partial_output(self, tmp_path, capsys):
         p = tmp_path / "empty.csv"
         p.write_text("")
@@ -168,6 +175,13 @@ class TestFitNs:
         assert coef["mu_1"] == pytest.approx(0.5, abs=0.25)
         assert doc["converged"] is True
         assert doc["iterations"] >= 1
+
+    def test_table_bytes(self, trend_csv, capsys):
+        _, out, _ = run_cli(["fit-ns", trend_csv, "--method", "lme"], capsys)
+        assert out == (
+            "method  mu_0    mu_1   sigma_0  sigma_1  xi      r50  r100  r200\n"
+            "lme     47.108  0.590  2.166    0.008    -0.168  161  182   205\n"
+        )
 
     def test_missing_time_information(self, tmp_path, capsys):
         p = tmp_path / "laneless.csv"
@@ -227,6 +241,15 @@ class TestSimulate:
         _, a, _ = run_cli(self.ARGS, capsys)
         _, b, _ = run_cli(self.ARGS + ["--jobs", "2"], capsys)
         assert a == b
+
+    def test_jobs_do_not_change_bytes_over_two_cells(self, capsys):
+        args = ["simulate", "--scenario", "gev11", "--xi=-0.3,0.1", "--n", "40",
+                "--methods", "lme,glme.b.c1", "--trials", "5", "--cov-b", "100", "--seed", "3"]
+        _, a, _ = run_cli(args, capsys)
+        code, b, err = run_cli(args + ["--jobs", "2"], capsys)
+        assert code == 0 and len(a.splitlines()) == 5
+        assert a == b
+        assert "cell 1/2" in err and "cell 2/2" in err
 
     def test_bad_method_fails_fast(self, capsys):
         code, out, err = run_cli(

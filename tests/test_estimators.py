@@ -69,7 +69,7 @@ class TestFitLme:
 
     def test_skewness_domain_error(self):
         # L-skewness above the attainable range: force a huge t3
-        x = np.array([1.0] * 30 + [1e9])
+        x = np.array([1.0] * 29 + [2.0, 1e9])
         with pytest.raises(ValueError, match="L-skewness"):
             fit_lme(x)
 
@@ -491,6 +491,25 @@ class TestOutOfRangeSkewness:
     def test_glme_needs_no_lmoment_shape(self, sample, name):
         fit = parse_method(name).fit_stationary(sample, B=200)
         assert fit.converged
+
+
+class TestTiedSamples:
+    """Fewer than 3 distinct values leave the likelihood unbounded (sigma -> 0);
+    every stationary fitter rejects such a sample with the same typed error."""
+
+    @pytest.mark.parametrize("x", [[0.0] * 20 + [1.0], [1.0] * 30 + [1e9]])
+    @pytest.mark.parametrize("name", ["lme", "mle", "gmle.n.c2", "glme", "glme.b.c1"])
+    def test_two_values_raise(self, x, name):
+        with pytest.raises(DegenerateDataError, match="3 distinct"):
+            parse_method(name).fit_stationary(x, B=200)
+
+    @pytest.mark.parametrize("name", ["lme", "mle", "gmle.n.c2", "glme", "glme.b.c1"])
+    def test_rounded_sample_fits(self, name):
+        # 40 draws rounded to multiples of 20: 9 distinct values
+        x = np.round(gev_sample(GevParams(100.0, 30.0, -0.1), 40, seed=3) / 20.0) * 20.0
+        assert np.unique(x).size == 9
+        fit = parse_method(name).fit_stationary(x, B=200)
+        assert fit.converged and fit.params.sigma > 1.0
 
 
 FLOOD_ROWS = [

@@ -215,6 +215,19 @@ class TestCovMatrix3:
         v = CovMatrix3(np.diag([2.0, 3.0, 4.0]), "exact")
         assert v.log_det == pytest.approx(math.log(24.0), rel=1e-12)
 
+    def test_solve_and_whiten_against_dense_algebra(self):
+        x = np.random.default_rng(5).gumbel(size=40)
+        v = lmoment_cov(x, B=500, seed=2)
+        r = np.array([0.3, -1.0, 2.0])
+        np.testing.assert_allclose(v.solve(r), np.linalg.solve(v.entries, r), rtol=1e-12)
+        np.testing.assert_allclose(v.solve(np.eye(3)), np.linalg.inv(v.entries), rtol=1e-12)
+        w = v.whiten(r)
+        assert w @ w == pytest.approx(r @ np.linalg.solve(v.entries, r), rel=1e-12)
+
+    def test_not_positive_definite_raises(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            CovMatrix3(np.diag([1.0, -1.0, 1.0]), "exact").log_det
+
 
 class TestGld:
     def test_zero_at_equal_triples(self):

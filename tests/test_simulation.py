@@ -33,6 +33,10 @@ def always_fails(data, seed):
     raise ConvergenceError("no")
 
 
+def buggy(data, seed):
+    raise TypeError("a bug inside a worker")
+
+
 class TestMetrics:
     def test_hand_example(self):
         bias, se, rmse = metrics([4.0, 6.0], 5.0)
@@ -175,3 +179,28 @@ class TestGrid:
             reports[n] = run_cell(cell).methods[0]
         assert reports[70].se < reports[30].se
         assert abs(reports[70].bias) <= abs(reports[30].bias)
+
+
+class TestTrialSpread:
+    """``jobs > 1`` spreads each cell's trials across worker processes; the
+    reports must equal the serial ones."""
+
+    @pytest.mark.parametrize("N", [7, 1])
+    @pytest.mark.parametrize("methods", [(("flaky", flaky),), ("lme",)], ids=["flaky", "lme"])
+    def test_reports_do_not_depend_on_jobs(self, N, methods):
+        kw = dict(scenario="stationary", xis=(-0.3, 0.15), ns=(30,), methods=methods,
+                  N=N, base_seed=3, B=100)
+        # reprs, since an all-failed method's NaN metrics never compare equal
+        serial = repr(run_grid(**kw))
+        assert repr(run_grid(jobs=2, **kw)) == serial
+        assert repr(run_grid(jobs=3, **kw)) == serial
+
+    def test_progress_once_per_cell_in_order(self):
+        calls = []
+        run_grid(xis=(-0.3, 0.0, 0.3), ns=(30,), methods=("lme",), N=5, jobs=2,
+                 progress=lambda done, total, cell: calls.append((done, total, cell.xi)))
+        assert calls == [(1, 3, -0.3), (2, 3, 0.0), (3, 3, 0.3)]
+
+    def test_programming_error_in_a_worker_propagates(self):
+        with pytest.raises(TypeError, match="inside a worker"):
+            run_grid(xis=(-0.3,), ns=(30,), methods=(("buggy", buggy),), N=4, jobs=2)
