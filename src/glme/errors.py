@@ -1,8 +1,11 @@
 """Exception types shared across the fitting modules."""
 
+import numpy as np
+
 __all__ = [
     "ConvergenceError",
     "DegenerateDataError",
+    "FIT_FAILURES",
     "LSkewnessError",
     "PenaltySupportError",
     "TransformError",
@@ -37,3 +40,15 @@ class TransformError(ValueError):
     def __init__(self, message, index=None):
         super().__init__(message)
         self.index = index
+
+
+# the failures a fit raises on purpose for a sample it cannot handle; any
+# other exception is a programming error
+FIT_FAILURES = (
+    ConvergenceError,
+    DegenerateDataError,
+    LSkewnessError,
+    PenaltySupportError,
+    TransformError,
+    np.linalg.LinAlgError,
+)

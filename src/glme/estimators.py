@@ -535,15 +535,19 @@ def fit_mle(x, init: GevParams | None = None, seed: int = 0) -> FitResult:
     return _fit_likelihood(_check_sample(x, 5), FlatPenalty(), init)
 
 
-def fit_gmle(x, penalty, init: GevParams | None = None, seed: int = 0) -> FitResult:
+def fit_gmle(x, penalty, init: GevParams | None = None, seed: int = 0,
+             lme: FitResult | None = None) -> FitResult:
     """Penalized maximum likelihood: adds -ln p(xi) to the likelihood objective.
 
     Solved like :func:`fit_mle`.  When the penalty gives the start shape
-    zero weight, the search starts at the penalty's mode instead.
+    zero weight, the search starts at the penalty's mode instead.  An
+    :class:`AdaptiveBetaRequest` penalty is built from the shape of ``lme``,
+    the :func:`fit_lme` fit of the same sample, which is computed here when
+    not given.
     """
     arr = _check_sample(x, 5)
     if isinstance(penalty, AdaptiveBetaRequest):
-        penalty = penalty.build(fit_lme(arr).params.xi)
+        penalty = penalty.build((lme if lme is not None else fit_lme(arr)).params.xi)
     return _fit_likelihood(arr, penalty, init)
 
 
@@ -618,13 +622,15 @@ def fit_glme(
     B: int = 1000,
     seed: int = 0,
     V: CovMatrix3 | None = None,
+    lme: FitResult | None = None,
 ) -> FitResult:
     """Penalty-weighted L-moment fit.
 
-    The covariance ``V`` is estimated once from the observed sample and held
-    fixed.  An :class:`AdaptiveBetaRequest` penalty is built from the shape
-    of the plain L-moment estimate.  Location and scale are profiled out in
-    closed form (see :func:`_glme_profile`); the shape is searched on a
+    The covariance ``V`` is estimated once from the observed sample, unless
+    given, and held fixed.  An :class:`AdaptiveBetaRequest` penalty is built
+    from the shape of ``lme``, the :func:`fit_lme` fit of the same sample,
+    which is computed here when not given.  Location and scale are profiled
+    out in closed form (see :func:`_glme_profile`); the shape is searched on a
     fixed grid of 81 points over the box (-1, 1), narrowed to the
     penalty's support when the penalty is in force, then refined by bounded
     Brent between the best grid point's neighbours.  ``iterations`` counts
@@ -632,7 +638,7 @@ def fit_glme(
     """
     arr = _check_sample(x, 5)
     if isinstance(penalty, AdaptiveBetaRequest):
-        penalty = penalty.build(fit_lme(arr).params.xi)
+        penalty = penalty.build((lme if lme is not None else fit_lme(arr)).params.xi)
     if V is None:
         V = lmoment_cov(arr, method=cov_method, B=B, seed=seed)
     l = sample_lmoments(arr)

@@ -19,6 +19,7 @@ import re
 from dataclasses import dataclass
 
 from . import estimators, nonstationary
+from .errors import FIT_FAILURES
 from .penalties import (
     AdaptiveBetaRequest,
     FlatPenalty,
@@ -44,29 +45,72 @@ class MethodSpec:
         return self.kind in ("lme", "glme")
 
     def fit_stationary(self, x, cov_method: str = "bootstrap", B: int = 1000, seed: int = 0,
-                       alpha_n: float = 1.0):
+                       alpha_n: float = 1.0, memo: dict | None = None):
+        """Fit the sample ``x``.
+
+        ``memo`` is a dict shared by the methods fitted to the same sample.
+        It keeps what they have in common, the L-moment fit and the
+        covariance per ``(cov_method, B, seed)``, so each is computed at
+        most once, and only by a method that needs it.
+        """
+
+        def lme():
+            return _shared(memo, "lme", lambda: estimators.fit_lme(x))
+
         if self.kind == "lme":
-            return estimators.fit_lme(x)
+            return lme()
         if self.kind == "mle":
             return estimators.fit_mle(x, seed=seed)
+        needs_lme = memo is not None and isinstance(self.penalty, AdaptiveBetaRequest)
+        shared_lme = lme() if needs_lme else None
         if self.kind == "gmle":
-            return estimators.fit_gmle(x, self.penalty, seed=seed)
+            return estimators.fit_gmle(x, self.penalty, seed=seed, lme=shared_lme)
+        V = None
+        if memo is not None:
+            V = _shared(memo, ("cov", cov_method, B, seed),
+                        lambda: estimators.lmoment_cov(x, method=cov_method, B=B, seed=seed))
         return estimators.fit_glme(
-            x, self.penalty, alpha_n=alpha_n, cov_method=cov_method, B=B, seed=seed
+            x, self.penalty, alpha_n=alpha_n, cov_method=cov_method, B=B, seed=seed, V=V,
+            lme=shared_lme,
         )
 
     def fit_ns(self, z, X, B: int = 1000, seed: int = 0, location_method: str = "tukey",
-               refine: bool = False, alpha_n: float = 1.0):
+               refine: bool = False, alpha_n: float = 1.0, memo: dict | None = None):
+        """Fit the trend model to ``z`` on covariates ``X``; ``memo`` keeps
+        the trend L-moment fit per ``(location_method, refine)`` as in
+        :meth:`fit_stationary`."""
         if not self.supports_nonstationary:
             raise ValueError(f"method {self.name!r} is not available for covariate models")
+
+        def lme():
+            return _shared(memo, ("ns-lme", location_method, refine),
+                           lambda: nonstationary.fit_ns_lme(
+                               z, X, location_method=location_method, seed=seed, refine=refine))
+
         if self.kind == "lme":
-            return nonstationary.fit_ns_lme(
-                z, X, location_method=location_method, seed=seed, refine=refine
-            )
+            return lme()
         return nonstationary.fit_ns_glme(
             z, X, self.penalty, alpha_n=alpha_n, B=B, seed=seed,
             location_method=location_method, refine=refine,
+            lme=lme() if memo is not None else None,
         )
+
+
+def _shared(memo: dict | None, key, compute):
+    """``compute()``, at most once per ``key`` of ``memo``: later lookups
+    return the kept value, or raise the kept failure again.  Without a memo,
+    ``compute()`` every time."""
+    if memo is None:
+        return compute()
+    if key not in memo:
+        try:
+            memo[key] = (compute(), None)
+        except FIT_FAILURES as failure:
+            memo[key] = (None, failure)
+    value, failure = memo[key]
+    if failure is not None:
+        raise failure
+    return value
 
 
 def _penalty_from_suffix(suffix: str):

@@ -172,10 +172,10 @@ def robust_location_fit(z, X, method: str = "tukey") -> np.ndarray:
     design = _design_matrix(X, z.size)
     if z.size <= design.shape[1]:
         raise ValueError("need more observations than coefficients")
-    if np.linalg.matrix_rank(design) < design.shape[1]:
+    # lstsq's rank uses matrix_rank's default cutoff, eps * max(m, n) * s_max
+    coef, _, rank, _ = np.linalg.lstsq(design, z, rcond=None)
+    if rank < design.shape[1]:
         raise ValueError("design matrix is rank deficient")
-
-    coef, *_ = np.linalg.lstsq(design, z, rcond=None)
     if method == "ols":
         return coef
     if method != "tukey":
@@ -210,15 +210,21 @@ def scale_regression(z, X, mu_coef) -> np.ndarray:
     (the intercept absorbs the mean of the log absolute residuals).  Exact
     zeros, which a robust location fit can produce by interpolation, are
     floored at 1e-8 times the median positive residual; nonzero residuals
-    enter the log untouched so a wide dynamic range stays intact.
+    enter the log untouched so a wide dynamic range stays intact.  Raises
+    :class:`DegenerateDataError` when every residual is at most
+    ``1e-12 * max(1, median |z|)``, the tolerance under which
+    :func:`robust_location_fit` takes the fit as exact (a constant or
+    exactly linear series).
     """
     z = np.asarray(z, dtype=float)
     design = _design_matrix(X, z.size)
     mu_coef = np.asarray(mu_coef, dtype=float)
     eps = np.abs(z - design @ mu_coef)
+    if np.all(eps <= 1e-12 * max(1.0, float(np.median(np.abs(z))))):
+        raise DegenerateDataError(
+            "every location residual is (numerically) zero; no scale information"
+        )
     positive = eps[eps > 0]
-    if positive.size == 0:
-        raise DegenerateDataError("all location residuals are zero; no scale information")
     floor = 1e-8 * float(np.median(positive))
     coef, *_ = np.linalg.lstsq(design, np.log(np.where(eps > 0, eps, floor)), rcond=None)
     return coef
@@ -291,18 +297,19 @@ def _lmoment_system(z, cov, mu_slopes, sig_slopes):
         mu0, sig0, xi = theta
         if not _XI_LO < xi < _XI_HI:
             return None
-        sigma = np.exp(sig0 + log_scale)
-        try:
-            zt, w, u = _to_gumbel(d - mu0, sigma, xi)
-        except TransformError:
-            return None
-        dxi = 0.5 * w * w if abs(xi) < XI_EPS else (w / u - zt) / xi
-        order = np.argsort(zt)
-        columns = np.column_stack([zt, -1.0 / (sigma * u), -w / u, dxi])
-        out = weights @ columns[order]
-        if not np.all(np.isfinite(out)):
-            return None
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # non-finite results are rejected below, so their warnings are noise
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            sigma = np.exp(sig0 + log_scale)
+            try:
+                zt, w, u = _to_gumbel(d - mu0, sigma, xi)
+            except TransformError:
+                return None
+            dxi = 0.5 * w * w if abs(xi) < XI_EPS else (w / u - zt) / xi
+            order = np.argsort(zt)
+            columns = np.column_stack([zt, -1.0 / (sigma * u), -w / u, dxi])
+            out = weights @ columns[order]
+            if not np.all(np.isfinite(out)):
+                return None
             kinks = np.diff(w[order]) / np.diff(1.0 / sigma[order])
         return out[:, 0] - _GUMBEL_LAMBDA, out[:, 1:], kinks
 
@@ -518,12 +525,15 @@ def fit_ns_glme(
     seed: int = 0,
     location_method: str = "tukey",
     refine: bool = False,
+    lme: NsFitResult | None = None,
 ) -> NsFitResult:
     """Penalty-weighted fit: minimizes the normal-approximation objective of
     the transformed sample's L-moment distance plus the shape penalty.
 
-    Starts from the :func:`fit_ns_lme` solution and reuses its slopes; an
-    :class:`AdaptiveBetaRequest` penalty is built from that fit's shape.
+    Starts from ``lme``, the :func:`fit_ns_lme` fit of the same series with
+    the same ``location_method`` and ``refine`` (computed here when not
+    given), and reuses its slopes; an :class:`AdaptiveBetaRequest` penalty
+    is built from that fit's shape.
     When the penalty gives that shape zero weight, the search starts at
     the penalty's mode instead.  The objective
     ``0.5 * |L^-1 r|**2 + alpha_n * (-ln p(xi)) + C``, with ``V = L L'`` the
@@ -532,7 +542,8 @@ def fit_ns_glme(
     evaluations of the equations.
     """
     z = np.asarray(z, dtype=float)
-    lme = fit_ns_lme(z, X, location_method=location_method, refine=refine)
+    if lme is None:
+        lme = fit_ns_lme(z, X, location_method=location_method, refine=refine)
     if isinstance(penalty, AdaptiveBetaRequest):
         penalty = penalty.build(lme.model.xi)
     method = "glme" if isinstance(penalty, FlatPenalty) else f"glme.{penalty.label}"

@@ -22,13 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    DegenerateDataError,
-    LSkewnessError,
-    PenaltySupportError,
-    TransformError,
-)
+from .errors import FIT_FAILURES
 from .gev import GevParams, gev_sample, return_level
 from .methods import MethodSpec, parse_method
 from .nonstationary import NsModel, gev11_design, ns_return_level, ns_sample
@@ -55,17 +49,6 @@ DEFAULT_GEV11_METHODS = ("lme", "glme.n.c3", "glme.b.c1")
 
 # each cell of a grid offsets its trial seeds by this stride
 _CELL_SEED_STRIDE = 1_000_000
-
-# the failures a fit raises on purpose for a sample it cannot handle; any
-# other exception is a programming error and propagates
-_FAILURE_EXCEPTIONS = (
-    ConvergenceError,
-    DegenerateDataError,
-    LSkewnessError,
-    PenaltySupportError,
-    TransformError,
-    np.linalg.LinAlgError,
-)
 
 
 @dataclass(frozen=True)
@@ -134,13 +117,13 @@ def metrics(estimates, truth: float) -> tuple[float, float, float]:
     return bias, se, rmse
 
 
-def _estimate_stationary(spec: MethodSpec, x, cell: SimCell, seed: int) -> float:
-    fit = spec.fit_stationary(x, cov_method=cell.cov_method, B=cell.B, seed=seed)
+def _estimate_stationary(spec: MethodSpec, x, cell: SimCell, seed: int, memo: dict) -> float:
+    fit = spec.fit_stationary(x, cov_method=cell.cov_method, B=cell.B, seed=seed, memo=memo)
     return return_level(fit.params, cell.T)
 
 
-def _estimate_ns(spec: MethodSpec, z, X, cell: SimCell, seed: int) -> float:
-    fit = spec.fit_ns(z, X, B=cell.B, seed=seed)
+def _estimate_ns(spec: MethodSpec, z, X, cell: SimCell, seed: int, memo: dict) -> float:
+    fit = spec.fit_ns(z, X, B=cell.B, seed=seed, memo=memo)
     return ns_return_level(fit.model, cell.T, cell.n - 1)
 
 
@@ -151,7 +134,9 @@ def _run_trials(cell: SimCell, lo: int, hi: int) -> tuple[dict, dict]:
     Methods may be strings for :func:`glme.methods.parse_method` or
     ``(name, callable)`` pairs where the callable maps (data, seed) to a
     return-level estimate; data is the sample for the stationary scenario
-    and a (z, X) pair otherwise.
+    and a (z, X) pair otherwise.  The parsed methods of one trial share a
+    memo, so the pieces they have in common (the L-moment fit, the
+    covariance) are computed once per trial.
     """
     specs = []
     for m in cell.methods:
@@ -173,18 +158,19 @@ def _run_trials(cell: SimCell, lo: int, hi: int) -> tuple[dict, dict]:
         else:
             data = ns_sample(truth_model, seed)
             args = (data, truth_model.covariates)
+        memo = {}
         for name, spec, fn in specs:
             try:
                 if fn is not None:
                     r = fn(data if cell.scenario == "stationary" else args, seed)
                 else:
                     r = (
-                        _estimate_stationary(spec, data, cell, seed)
+                        _estimate_stationary(spec, data, cell, seed, memo)
                         if cell.scenario == "stationary"
-                        else _estimate_ns(spec, *args, cell, seed)
+                        else _estimate_ns(spec, *args, cell, seed, memo)
                     )
                 estimates[name].append(r)
-            except _FAILURE_EXCEPTIONS:
+            except FIT_FAILURES:
                 failures[name] += 1
     return estimates, failures
 

@@ -1,6 +1,7 @@
 """Command-line surface: parsing, outputs, exit codes, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -250,6 +251,21 @@ class TestSimulate:
         assert code == 0 and len(a.splitlines()) == 5
         assert a == b
         assert "cell 1/2" in err and "cell 2/2" in err
+
+    # sha256 of the CSV on both default grids, recorded before the methods of
+    # a trial shared their L-moment fit and covariance; a change that moves
+    # these numbers on purpose records new digests and says why
+    GRID_DIGESTS = {
+        "stationary": "c0dbfb117a55c466b0fcd280048747839e264489b6135d87bd85156c2a94fa51",
+        "gev11": "f190d3fb75b61e6f63db30cc4f88daa5b963645b75e5bc10af41819ba857660c",
+    }
+
+    @pytest.mark.parametrize("scenario", GRID_DIGESTS)
+    def test_default_grid_bytes(self, scenario, capsys):
+        code, out, _ = run_cli(["simulate", "--scenario", scenario, "--trials", "5",
+                                "--cov-b", "100", "--format", "csv"], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.GRID_DIGESTS[scenario]
 
     def test_bad_method_fails_fast(self, capsys):
         code, out, err = run_cli(

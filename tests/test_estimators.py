@@ -244,6 +244,20 @@ def _reference_fit(n, xi, cov, name, alpha_n):
     return glme_fit_nelder_mead(x, V, _built_penalty(name, x), alpha_n)
 
 
+class TestGivenLmeFit:
+    """``fit_glme``/``fit_gmle`` with ``lme=fit_lme(x)`` equal the fits without it."""
+
+    @pytest.mark.parametrize("choice", [1, 5])
+    @pytest.mark.parametrize("fitter", [
+        lambda x, penalty, **kw: fit_glme(x, penalty, B=200, seed=3, **kw),
+        lambda x, penalty, **kw: fit_gmle(x, penalty, seed=3, **kw),
+    ], ids=["glme", "gmle"])
+    def test_equal_to_own_lme_fit(self, fitter, choice):
+        x = gev_sample(GevParams(100.0, 30.0, -0.3), 30, seed=8)
+        penalty = AdaptiveBetaRequest(choice)
+        assert fitter(x, penalty, lme=fit_lme(x)) == fitter(x, penalty)
+
+
 class TestGlmeAgainstNelderMead:
     """The closed-form profile search against the former 3-D Nelder-Mead
     search of the same objective, on a seeded corpus."""

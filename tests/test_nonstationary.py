@@ -1,5 +1,6 @@
 """Covariate-model pipeline: regressions, transform, matching, return levels."""
 
+import dataclasses
 import functools
 import math
 
@@ -99,6 +100,17 @@ class TestScaleRegression:
         z = 1.0 + 2.0 * t
         with pytest.raises(DegenerateDataError):
             scale_regression(z, t.reshape(-1, 1), np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("z", [np.full(40, 3.0), 1.0 + 0.5 * np.arange(1.0, 41.0)],
+                             ids=["constant", "linear"])
+    def test_exact_location_fit_is_degenerate(self, z):
+        # the location fit leaves rounding-level residuals, not exact zeros
+        X = gev11_design(40)
+        coef = robust_location_fit(z, X)
+        eps = np.abs(z - coef[0] - coef[1] * X[:, 0])
+        assert np.max(eps) <= 1e-12 * max(1.0, float(np.median(np.abs(z))))
+        with pytest.raises(DegenerateDataError, match="residual"):
+            fit_ns_lme(z, X)
 
 
 class TestGumbelTransform:
@@ -250,6 +262,35 @@ class TestFitNsGlme:
         glme = fit_ns_glme(z, X, AdaptiveBetaRequest(5), seed=18).model
         assert glme.mu_coef[1] == lme.mu_coef[1]
         assert glme.sigma_coef[1] == lme.sigma_coef[1]
+
+
+def _assert_same_fit(a, b):
+    """Field-by-field equality of two fit results, arrays included."""
+    assert type(a) is type(b)
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if dataclasses.is_dataclass(x):
+            _assert_same_fit(x, y)
+        elif isinstance(x, np.ndarray):
+            np.testing.assert_array_equal(x, y, err_msg=f.name)
+        else:
+            assert x == y, f.name
+
+
+class TestGivenLmeFit:
+    """``fit_ns_glme(..., lme=fit_ns_lme(...))`` is the fit without it."""
+
+    @pytest.mark.parametrize("refine", [False, True])
+    @pytest.mark.parametrize("location", ["tukey", "ols"])
+    @pytest.mark.parametrize("name", ["glme.b.c1", "glme.b.c5", "glme.n.c3", "glme"])
+    def test_equal_to_own_lme_fit(self, name, location, refine):
+        model = SimCell("gev11", -0.3, 40).truth_model()
+        z, X = ns_sample(model, 18), model.covariates
+        penalty = parse_method(name).penalty
+        kw = dict(B=200, seed=5, location_method=location, refine=refine)
+        lme = fit_ns_lme(z, X, location_method=location, refine=refine)
+        _assert_same_fit(fit_ns_glme(z, X, penalty, lme=lme, **kw),
+                         fit_ns_glme(z, X, penalty, **kw))
 
 
 class TestNsReturnLevel:

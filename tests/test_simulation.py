@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from glme.errors import ConvergenceError
+from glme import estimators, nonstationary
+from glme.errors import ConvergenceError, LSkewnessError
 from glme.gev import GevParams, return_level
 from glme.simulation import (
     DEFAULT_GEV11_METHODS,
@@ -204,3 +205,51 @@ class TestTrialSpread:
     def test_programming_error_in_a_worker_propagates(self):
         with pytest.raises(TypeError, match="inside a worker"):
             run_grid(xis=(-0.3,), ns=(30,), methods=(("buggy", buggy),), N=4, jobs=2)
+
+
+def _counting(monkeypatch, module, name, fail=lambda *args: False):
+    """Replace ``module.name`` by a wrapper that counts its calls and raises
+    ConvergenceError where ``fail(*args)`` is true; returns the call list."""
+    original, calls = getattr(module, name), []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        if fail(*args):
+            raise ConvergenceError("stub refuses this sample")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+class TestSharedPieces:
+    """The methods of one trial share its L-moment fit and covariance."""
+
+    def test_one_trend_lme_fit_per_trial(self, monkeypatch):
+        calls = _counting(monkeypatch, nonstationary, "fit_ns_lme")
+        cell = SimCell("gev11", -0.45, 40, ("lme", "glme.b.c1", "glme.n.c3"), N=4, B=100)
+        assert all(m.n_failures == 0 for m in run_cell(cell).methods)
+        assert len(calls) == 4
+
+    def test_one_covariance_per_trial(self, monkeypatch):
+        calls = _counting(monkeypatch, estimators, "lmoment_cov")
+        cell = SimCell("stationary", -0.3, 30, ("glme.n.c3", "glme.b.c1"), N=4, B=100)
+        assert all(m.n_failures == 0 for m in run_cell(cell).methods)
+        assert len(calls) == 4
+
+    def test_a_failed_trend_lme_fit_fails_every_method_needing_it(self, monkeypatch):
+        N = 12
+        cell = SimCell("gev11", -0.45, 40, ("lme", "glme.b.c1", "glme.n.c3"), N=N, B=100)
+        refused = sum(nonstationary.ns_sample(cell.truth_model(), seed)[0] < 0 for seed in range(N))
+        assert 0 < refused < N
+        calls = _counting(monkeypatch, nonstationary, "fit_ns_lme", lambda z, X: z[0] < 0)
+        assert [m.n_failures for m in run_cell(cell).methods] == [refused] * 3
+        assert len(calls) == N
+
+    def test_a_failed_lme_fit_spares_methods_not_needing_it(self, monkeypatch):
+        def refuse(x):
+            raise LSkewnessError("stub refuses every sample")
+
+        monkeypatch.setattr(estimators, "fit_lme", refuse)
+        cell = SimCell("stationary", -0.3, 30, ("glme.n.c3", "lme", "glme.b.c1"), N=3, B=100)
+        assert [m.n_failures for m in run_cell(cell).methods] == [0, 3, 3]
