@@ -33,7 +33,7 @@ from ._optim import brent
 # unused here; perfbench/tracing.py patches glme.estimators.nelder_mead by name
 from ._optim import nelder_mead  # noqa: F401
 from .errors import ConvergenceError, DegenerateDataError, LSkewnessError
-from .gev import XI_EPS, GevParams
+from .gev import XI_EPS, GevParams, _reduced_variate
 from .lmoments import (
     EULER_GAMMA,
     CovMatrix3,
@@ -187,6 +187,13 @@ def _params_from_lmoments(l: LMomentTriple) -> tuple[GevParams, int, float]:
     return GevParams(l.l1 - sigma * a1, sigma, xi), iters, residual
 
 
+def _check_distinct(arr: np.ndarray) -> None:
+    """The rule on distinct values that every fitter, stationary or trend, applies."""
+    if np.unique(arr).size < 3:
+        # with only two distinct values the likelihood is unbounded (sigma -> 0)
+        raise DegenerateDataError("sample has fewer than 3 distinct values")
+
+
 def _check_sample(x, min_n: int) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1:
@@ -195,9 +202,7 @@ def _check_sample(x, min_n: int) -> np.ndarray:
         raise ValueError("x must be finite")
     if arr.size < min_n:
         raise ValueError(f"need at least {min_n} observations, got {arr.size}")
-    if np.unique(arr).size < 3:
-        # with only two distinct values the likelihood is unbounded (sigma -> 0)
-        raise DegenerateDataError("sample has fewer than 3 distinct values")
+    _check_distinct(arr)
     return arr
 
 
@@ -211,9 +216,8 @@ def fit_lme(x) -> FitResult:
 
 def _nll_value(x: np.ndarray, mu: float, sigma: float, xi: float):
     """The negative log-likelihood ``n log sigma + (1 - xi) sum y +
-    sum exp(-y)``, written through the reduced variate
-    ``y = -log1p(-xi z)/xi`` (``y = z`` at ``xi = 0``) of
-    ``z = (x - mu)/sigma``.
+    sum exp(-y)``, written through the reduced variate ``y`` of
+    ``z = (x - mu)/sigma`` (see :func:`glme.gev._reduced_variate`).
 
     Returns ``(value, z, u, y, exp(-y))`` with ``u = 1 - xi z``, or None
     outside the support or where the value is not finite.
@@ -222,11 +226,9 @@ def _nll_value(x: np.ndarray, mu: float, sigma: float, xi: float):
         return None
     with np.errstate(over="ignore", invalid="ignore"):
         z = (x - mu) / sigma
-        t = xi * z
-        u = 1.0 - t
+        y, u = _reduced_variate(z, xi)
         if (u <= 0).any():
             return None
-        y = z if xi == 0.0 else -np.log1p(-t) / xi
         e = np.exp(-y)
         value = x.size * math.log(sigma) + (1.0 - xi) * float(y.sum()) + float(e.sum())
     return (value, z, u, y, e) if math.isfinite(value) else None
@@ -520,7 +522,7 @@ def _fit_likelihood(arr: np.ndarray, penalty, init: GevParams | None) -> FitResu
     return result
 
 
-def fit_mle(x, init: GevParams | None = None, seed: int = 0) -> FitResult:
+def fit_mle(x, init: GevParams | None = None) -> FitResult:
     """Maximum likelihood estimate by damped Newton steps on the exact
     derivatives of the log-likelihood.
 
@@ -528,14 +530,12 @@ def fit_mle(x, init: GevParams | None = None, seed: int = 0) -> FitResult:
     the L-skewness is out of range), with the scale raised, if some
     observation lies outside that start's support, until the farthest one
     sits halfway inside it.  A given ``init`` is used as it is; an
-    infeasible one raises :class:`ConvergenceError`.  The solver is
-    deterministic: ``seed`` has no effect and is accepted for a uniform
-    interface.
+    infeasible one raises :class:`ConvergenceError`.
     """
     return _fit_likelihood(_check_sample(x, 5), FlatPenalty(), init)
 
 
-def fit_gmle(x, penalty, init: GevParams | None = None, seed: int = 0,
+def fit_gmle(x, penalty, init: GevParams | None = None,
              lme: FitResult | None = None) -> FitResult:
     """Penalized maximum likelihood: adds -ln p(xi) to the likelihood objective.
 
@@ -552,6 +552,7 @@ def fit_gmle(x, penalty, init: GevParams | None = None, seed: int = 0,
 
 
 def _objective_const(V: CovMatrix3) -> float:
+    """The normal approximation's constant, in the stationary and the trend objective."""
     return 1.5 * math.log(2.0 * math.pi) + 0.5 * V.log_det
 
 
@@ -636,7 +637,7 @@ def fit_glme(
     Brent between the best grid point's neighbours.  ``iterations`` counts
     the shapes at which the profile was evaluated.
     """
-    arr = _check_sample(x, 5)
+    arr = _check_sample(x, 10)  # the covariance needs 10 values
     if isinstance(penalty, AdaptiveBetaRequest):
         penalty = penalty.build((lme if lme is not None else fit_lme(arr)).params.xi)
     if V is None:
@@ -689,7 +690,8 @@ def profile_xi(
     observation lies inside the support.  Grid points that are infeasible,
     or where the inner search fails, are flagged, not fatal.
     """
-    arr = _check_sample(x, 5)
+    # the lme/glme curve needs the covariance, which needs 10 values
+    arr = _check_sample(x, 10 if method in ("lme", "glme") else 5)
     if grid is None:
         grid = np.linspace(-0.9, 0.3, 61)
     grid = np.asarray(grid, dtype=float)

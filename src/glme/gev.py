@@ -8,9 +8,10 @@ Gumbel distribution as ``xi -> 0``, and has a bounded upper tail for
     f(x) = (1/sigma) * u**(1/xi - 1) * exp(-u**(1/xi)),   u = 1 - xi*(x - mu)/sigma
     F(x) = exp(-u**(1/xi)),
 
-defined where ``u > 0``.  Outside the support the density is 0 and the CDF
-clamps to 0 or 1 according to the sign of ``xi``, so likelihood code can
-treat support violations smoothly.
+defined where ``u > 0``, and computed as ``F = exp(-exp(-y))`` through the
+reduced variate ``y = -log(u)/xi``.  Outside the support the density is 0
+and the CDF clamps to 0 or 1 according to the sign of ``xi``, so
+likelihood code can treat support violations smoothly.
 """
 
 from __future__ import annotations
@@ -32,8 +33,12 @@ __all__ = [
     "return_level",
 ]
 
-# Below this |xi| every formula switches to its Gumbel limit to avoid
-# catastrophic cancellation.
+# Below this |xi| three formulas take their Gumbel limits, as their xi != 0
+# forms cancel near 0: the quantile (1 - y**xi)/xi behind the sampler; the
+# L-moment coefficients (1 - Gamma(1 + xi))/xi, with the L-skewness and its
+# inverse; and the trend Jacobian's shape column (w/u - zt)/xi, 0/0 at 0.
+# The reduced variate keeps its precision through log1p and switches only
+# at xi == 0.
 XI_EPS = 1e-6
 
 
@@ -86,55 +91,47 @@ def _check_x(x) -> np.ndarray:
 
 
 def _maybe_scalar(arr: np.ndarray, scalar_in: bool):
-    return float(arr) if scalar_in else arr
+    return float(arr[0]) if scalar_in else arr
+
+
+def _reduced_variate(z, xi: float):
+    """``(y, u)`` for standardized values ``z = (x - mu)/sigma``: ``u = 1 -
+    xi z`` and ``y = -log1p(-xi z)/xi`` (``y = z`` at ``xi == 0``).  ``y``
+    is not finite where ``u <= 0``, outside the support; each caller decides
+    what that means."""
+    t = xi * z
+    u = 1.0 - t
+    if xi == 0.0:
+        return z, u
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return -np.log1p(-t) / xi, u
 
 
 def gev_pdf(params: GevParams, x) -> float | np.ndarray:
     """Density of the GEV distribution; 0 outside the support."""
     arr = _check_x(x)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
     mu, sigma, xi = params.as_tuple()
-    z = (arr - mu) / sigma
-
-    if abs(xi) < XI_EPS:
-        with np.errstate(over="ignore"):
-            out = np.exp(-z - np.exp(-z)) / sigma
-        return _maybe_scalar(out[0] if scalar else out, scalar)
-
-    u = 1.0 - xi * z
-    out = np.zeros_like(z)
+    y, u = _reduced_variate((np.atleast_1d(arr) - mu) / sigma, xi)
+    out = np.zeros_like(y)
     inside = u > 0
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        lu = np.log(u[inside])
-        t = np.exp(lu / xi)
-        logf = (1.0 / xi - 1.0) * lu - t - math.log(sigma)
-        out[inside] = np.exp(logf)
-    return _maybe_scalar(out[0] if scalar else out, scalar)
+    with np.errstate(over="ignore"):
+        # log f = -log sigma - (1 - xi) y - exp(-y)
+        out[inside] = np.exp(-(1.0 - xi) * y[inside] - np.exp(-y[inside])) / sigma
+    return _maybe_scalar(out, arr.ndim == 0)
 
 
 def gev_cdf(params: GevParams, x) -> float | np.ndarray:
     """CDF of the GEV distribution, clamped to 0/1 at the support endpoints."""
     arr = _check_x(x)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
     mu, sigma, xi = params.as_tuple()
-    z = (arr - mu) / sigma
-
-    if abs(xi) < XI_EPS:
-        with np.errstate(over="ignore"):
-            out = np.exp(-np.exp(-z))
-        return _maybe_scalar(out[0] if scalar else out, scalar)
-
-    u = 1.0 - xi * z
+    y, u = _reduced_variate((np.atleast_1d(arr) - mu) / sigma, xi)
     # u <= 0 lies below the lower endpoint when xi < 0 (F = 0) and above the
     # upper endpoint when xi > 0 (F = 1).
-    out = np.full_like(z, 0.0 if xi < 0 else 1.0)
+    out = np.full_like(y, 0.0 if xi < 0 else 1.0)
     inside = u > 0
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        t = np.exp(np.log(u[inside]) / xi)
-        out[inside] = np.exp(-t)
-    return _maybe_scalar(out[0] if scalar else out, scalar)
+    with np.errstate(over="ignore"):
+        out[inside] = np.exp(-np.exp(-y[inside]))
+    return _maybe_scalar(out, arr.ndim == 0)
 
 
 def _quantile_from_y(mu, sigma, xi: float, y) -> np.ndarray:
@@ -153,23 +150,19 @@ def _quantile_from_y(mu, sigma, xi: float, y) -> np.ndarray:
 def gev_quantile(params: GevParams, p) -> float | np.ndarray:
     """Quantile function, the inverse of :func:`gev_cdf` on (0, 1)."""
     arr = np.asarray(p, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
     if np.any(~np.isfinite(arr)) or np.any(arr <= 0) or np.any(arr >= 1):
         raise ValueError("p must lie in the open interval (0, 1)")
-    out = _quantile_from_y(*params.as_tuple(), -np.log(arr))
-    return _maybe_scalar(out[0] if scalar else out, scalar)
+    out = _quantile_from_y(*params.as_tuple(), -np.log(np.atleast_1d(arr)))
+    return _maybe_scalar(out, arr.ndim == 0)
 
 
 def gev_support(params: GevParams) -> tuple[float, float]:
-    """Support interval; one endpoint is infinite unless xi is 0."""
+    """Support interval: the whole line at xi == 0, else bounded on one side."""
     mu, sigma, xi = params.as_tuple()
-    if abs(xi) < XI_EPS:
+    if xi == 0.0:
         return (-math.inf, math.inf)
     endpoint = mu + sigma / xi
-    if xi < 0:
-        return (endpoint, math.inf)
-    return (-math.inf, endpoint)
+    return (endpoint, math.inf) if xi < 0 else (-math.inf, endpoint)
 
 
 def gev_sample(params: GevParams, n: int, seed: int) -> np.ndarray:

@@ -60,11 +60,11 @@ class MethodSpec:
         if self.kind == "lme":
             return lme()
         if self.kind == "mle":
-            return estimators.fit_mle(x, seed=seed)
+            return estimators.fit_mle(x)
         needs_lme = memo is not None and isinstance(self.penalty, AdaptiveBetaRequest)
         shared_lme = lme() if needs_lme else None
         if self.kind == "gmle":
-            return estimators.fit_gmle(x, self.penalty, seed=seed, lme=shared_lme)
+            return estimators.fit_gmle(x, self.penalty, lme=shared_lme)
         V = None
         if memo is not None:
             V = _shared(memo, ("cov", cov_method, B, seed),
@@ -85,7 +85,7 @@ class MethodSpec:
         def lme():
             return _shared(memo, ("ns-lme", location_method, refine),
                            lambda: nonstationary.fit_ns_lme(
-                               z, X, location_method=location_method, seed=seed, refine=refine))
+                               z, X, location_method=location_method, refine=refine))
 
         if self.kind == "lme":
             return lme()

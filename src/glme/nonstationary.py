@@ -28,8 +28,8 @@ import numpy as np
 # unused here; perfbench/tracing.py patches glme.nonstationary.nelder_mead by name
 from ._optim import nelder_mead  # noqa: F401
 from .errors import ConvergenceError, DegenerateDataError, LSkewnessError, TransformError
-from .estimators import fit_lme
-from .gev import XI_EPS, GevParams, _sample, return_level
+from .estimators import _XI_HI, _XI_LO, _check_distinct, _objective_const, fit_lme
+from .gev import XI_EPS, GevParams, _reduced_variate, _sample, return_level
 from .lmoments import (
     CovMatrix3,
     _lmoment_weights,
@@ -55,7 +55,6 @@ __all__ = [
     "ns_sample",
 ]
 
-_XI_LO, _XI_HI = -1.0 + 1e-8, 1.0 - 1e-8
 _GUMBEL_LAMBDA = gumbel_population_lmoments().as_array()
 
 # fit_ns_lme's Newton solve: residual norm at which it stops, iteration cap,
@@ -233,22 +232,20 @@ def scale_regression(z, X, mu_coef) -> np.ndarray:
 def _to_gumbel(d, sigma, xi: float):
     """The shape-standardizing transform of deviations ``d`` from the location.
 
-    Returns ``(zt, w, u)`` with ``w = d / sigma``, ``u = 1 - xi * w`` and
-    ``zt = -log(u) / xi``; in the Gumbel limit ``|xi| < XI_EPS``, ``zt = w``
-    and ``u = 1``.  Raises :class:`TransformError` naming the first
-    observation outside the support (``u <= 0``).
+    Returns ``(zt, w, u)`` with ``w = d / sigma`` and ``zt, u`` the reduced
+    variate of ``w`` and ``1 - xi * w`` (see
+    :func:`glme.gev._reduced_variate`).  Raises :class:`TransformError`
+    naming the first observation outside the support (``u <= 0``).
     """
     w = d / sigma
-    if abs(xi) < XI_EPS:
-        return w, w, 1.0
-    u = 1.0 - xi * w
+    zt, u = _reduced_variate(w, xi)
     bad = np.flatnonzero(u <= 0)
     if bad.size:
         raise TransformError(
             f"observation {bad[0]} outside the support implied by the parameters",
             index=int(bad[0]),
         )
-    return -np.log1p(-xi * w) / xi, w, u
+    return zt, w, u
 
 
 def gumbel_transform(z, model: NsModel) -> np.ndarray:
@@ -280,7 +277,7 @@ def _lmoment_system(z, cov, mu_slopes, sig_slopes):
     observation
 
         dzt/dmu0 = -1/(sigma u),  dzt/dlog sigma0 = -w/u,
-        dzt/dxi = (w/u - zt)/xi   (Gumbel limit w**2 / 2).
+        dzt/dxi = (w/u - zt)/xi   (0/0 at 0: w**2 / 2 where |xi| < XI_EPS).
 
     The transform is increasing in ``w = (z - mu)/sigma`` and the common
     factor ``exp(log sigma0)`` leaves the order of ``w`` alone, so only
@@ -322,6 +319,7 @@ def _stages(z, X, location_method, mu_coef=None):
     z = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(z)):
         raise ValueError("observations must be finite")
+    _check_distinct(z)
     if mu_coef is None:
         mu_coef = robust_location_fit(z, X, method=location_method)
     scale_coef = scale_regression(z, X, mu_coef)
@@ -393,9 +391,7 @@ def _newton(evaluate, theta, r, jac):
     return theta, norm, n_eval
 
 
-def fit_ns_lme(
-    z, X, location_method: str = "tukey", seed: int = 0, refine: bool = False
-) -> NsFitResult:
+def fit_ns_lme(z, X, location_method: str = "tukey", refine: bool = False) -> NsFitResult:
     """Fit by matching transformed-sample L-moments to the Gumbel constants.
 
     Slopes come from the regression stages and stay fixed; the intercepts
@@ -403,10 +399,9 @@ def fit_ns_lme(
     exact Jacobian (see :func:`_lmoment_system`), from each start of
     :func:`_init_candidates` in turn until one reaches a residual norm
     below 1e-8, which counts as converged.  ``iterations`` counts the
-    evaluations of the equations.  The solver is deterministic: ``seed``
-    has no effect and is accepted for a uniform interface.  With
-    ``refine`` the scale regression and the matching stage run a second
-    time using the location intercept found by the first pass.
+    evaluations of the equations.  With ``refine`` the scale regression
+    and the matching stage run a second time using the location intercept
+    found by the first pass.
     """
     result = _fit_ns_lme_once(z, X, location_method, None)
     if refine:
@@ -553,7 +548,7 @@ def fit_ns_glme(
     mu_slopes, sig_slopes = lme.model.mu_coef[1:], lme.model.sigma_coef[1:]
     evaluate = _lmoment_system(z, cov, mu_slopes, sig_slopes)
     vtilde = gumbel_lmoment_cov(z.size, B=B, seed=seed)
-    const = 1.5 * math.log(2.0 * math.pi) + 0.5 * vtilde.log_det
+    const = _objective_const(vtilde)
     l_inv = vtilde.whiten(np.eye(3))
 
     def objective(theta):

@@ -121,7 +121,7 @@ def test_criterion_4_rainfall_table_reproduction(phliu):
     X = phliu.time_design()
     checks = []
 
-    lme = fit_ns_lme(z, X, seed=42).model
+    lme = fit_ns_lme(z, X).model
     checks += [
         (f"lme mu1 {lme.mu_coef[1]:.3f} = 0.936 +-0.02",
          abs(lme.mu_coef[1] - 0.936) <= 0.02),
@@ -154,8 +154,8 @@ def test_criterion_5_flat_penalty_collapse():
         gap = np.max(np.abs(np.array(flat.as_tuple()) - np.array(lme.as_tuple())) / scale)
         worst_param = max(worst_param, float(gap))
 
-        mle = fit_mle(x, seed=i)
-        gmle = fit_gmle(x, FlatPenalty(), seed=i)
+        mle = fit_mle(x)
+        gmle = fit_gmle(x, FlatPenalty())
         worst_obj = max(worst_obj, abs(mle.objective_value - gmle.objective_value))
     elapsed = time.perf_counter() - start
     report(5, "flat penalty collapses to unpenalized fits", [

@@ -106,6 +106,26 @@ class TestCdf:
         assert np.all(np.diff(f) >= 0)
 
 
+class TestGumbelBand:
+    """Density, CDF and support switch to the Gumbel form only at xi == 0,
+    so nothing jumps where |xi| crosses XI_EPS = 1e-6."""
+
+    XS = np.linspace(-3.0, 8.0, 201)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("fn", [gev_pdf, gev_cdf], ids=["pdf", "cdf"])
+    def test_continuous_across_band_edge(self, fn, sign):
+        inner = fn(GevParams(0.0, 1.0, sign * 0.999e-6), self.XS)
+        outer = fn(GevParams(0.0, 1.0, sign * 1.001e-6), self.XS)
+        assert np.max(np.abs(outer - inner)) < 1e-8
+
+    @pytest.mark.parametrize("xi", [5e-7, -5e-7, 1e-12])
+    def test_support_is_finite_inside_band(self, xi):
+        lo, hi = gev_support(GevParams(0.0, 1.0, xi))
+        assert (hi if xi > 0 else lo) == pytest.approx(1.0 / xi)
+        assert math.isinf(lo if xi > 0 else hi)
+
+
 class TestQuantile:
     def test_heavy_tail_high_quantile_matches_reported_fit(self, flood):
         # 0.99 quantile of the L-moment fit of the flood series

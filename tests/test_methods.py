@@ -68,7 +68,7 @@ TREND_CORPUS = {
     "n=10": (_trend_series(10, -0.2, 17), None),
     "n=11": (_trend_series(11, -0.2, 18), None),
     "n=12": (_trend_series(12, -0.2, 19), None),
-    "two-valued": (np.where(np.arange(40) % 3 == 0, 1.0, 2.0), ConvergenceError),
+    "two-valued": (np.where(np.arange(40) % 3 == 0, 1.0, 2.0), DegenerateDataError),
     "three-valued": (np.arange(40) % 3 * 1.0, None),
     "rounded": (np.round(_trend_series(40, -0.2, 3)), None),
     "constant": (np.full(40, 3.0), DegenerateDataError),

@@ -110,7 +110,7 @@ class TestScaleRegression:
         eps = np.abs(z - coef[0] - coef[1] * X[:, 0])
         assert np.max(eps) <= 1e-12 * max(1.0, float(np.median(np.abs(z))))
         with pytest.raises(DegenerateDataError, match="residual"):
-            fit_ns_lme(z, X)
+            scale_regression(z, X, coef)
 
 
 class TestGumbelTransform:
@@ -148,7 +148,7 @@ class TestNsGld:
         X = gev11_design(40)
         truth = NsModel([0.0, -0.1], [1.0, 0.02], -0.2, X)
         z = ns_sample(truth, seed=7)
-        fit = fit_ns_lme(z, X, seed=7)
+        fit = fit_ns_lme(z, X)
         zt = gumbel_transform(z, fit.model)
         v = CovMatrix3(np.eye(3), "exact")
         assert ns_gld(zt, v) < 1e-15
@@ -168,7 +168,7 @@ class TestFitNsLme:
     def test_converges_to_exact_match(self):
         X = gev11_design(40)
         truth = NsModel([0.0, -0.1], [1.0, 0.02], -0.2, X)
-        fit = fit_ns_lme(ns_sample(truth, seed=7), X, seed=7)
+        fit = fit_ns_lme(ns_sample(truth, seed=7), X)
         assert fit.converged
         assert fit.objective_value < 1e-8
 
@@ -176,7 +176,7 @@ class TestFitNsLme:
         # location trend with constant scale: every coefficient is recovered
         X = np.linspace(1.0, 40.0, 4000).reshape(-1, 1)
         truth = NsModel([0.0, -0.1], [1.0, 0.0], -0.2, X)
-        fit = fit_ns_lme(ns_sample(truth, seed=12), X, seed=12)
+        fit = fit_ns_lme(ns_sample(truth, seed=12), X)
         m = fit.model
         assert m.mu_coef[0] == pytest.approx(0.0, abs=0.3)
         assert m.mu_coef[1] == pytest.approx(-0.1, rel=0.07)
@@ -187,7 +187,7 @@ class TestFitNsLme:
     def test_stationary_data_matches_stationary_fit(self):
         params = GevParams(50.0, 10.0, -0.15)
         z = gev_sample(params, 2000, seed=20)
-        fit = fit_ns_lme(z, gev11_design(2000), seed=20)
+        fit = fit_ns_lme(z, gev11_design(2000))
         stat = fit_lme(z).params
         m = fit.model
         assert abs(m.mu_coef[1]) < 0.01
@@ -200,7 +200,7 @@ class TestFitNsLme:
         X = gev11_design(60)
         truth = NsModel([3.0, 0.2], [0.5, 0.01], -0.1, X)
         z = ns_sample(truth, seed=4)
-        fit = fit_ns_lme(z, X, seed=4)
+        fit = fit_ns_lme(z, X)
         assert fit.model.mu_coef[1] == fit.stage_diagnostics.location_coef[1]
         assert fit.model.sigma_coef[1] == fit.stage_diagnostics.scale_coef[1]
 
@@ -208,8 +208,8 @@ class TestFitNsLme:
         X = gev11_design(60)
         truth = NsModel([3.0, 0.2], [0.5, 0.01], -0.1, X)
         z = ns_sample(truth, seed=4)
-        a = fit_ns_lme(z, X, seed=4).model
-        b = fit_ns_lme(z + 100.0, X, seed=4).model
+        a = fit_ns_lme(z, X).model
+        b = fit_ns_lme(z + 100.0, X).model
         assert b.mu_coef[0] - a.mu_coef[0] == pytest.approx(100.0, abs=1e-6)
         assert b.mu_coef[1] == pytest.approx(a.mu_coef[1], abs=1e-6)
         assert b.sigma_coef[0] == pytest.approx(a.sigma_coef[0], abs=1e-6)
@@ -221,7 +221,7 @@ class TestFitNsGlme:
         X = gev11_design(50)
         truth = NsModel([0.0, -0.1], [1.0, 0.02], -0.2, X)
         z = ns_sample(truth, seed=9)
-        lme = fit_ns_lme(z, X, seed=9).model
+        lme = fit_ns_lme(z, X).model
         flat = fit_ns_glme(z, X, FlatPenalty(), seed=9).model
         assert flat.mu_coef[0] == pytest.approx(lme.mu_coef[0], abs=1e-5)
         assert flat.sigma_coef[0] == pytest.approx(lme.sigma_coef[0], abs=1e-5)
@@ -231,7 +231,7 @@ class TestFitNsGlme:
         X = gev11_design(40)
         truth = NsModel([0.0, -0.1], [1.0, 0.02], -0.3, X)
         z = ns_sample(truth, seed=18)
-        lme = fit_ns_lme(z, X, seed=18).model
+        lme = fit_ns_lme(z, X).model
         assert lme.xi < 0
         glme = fit_ns_glme(z, X, AdaptiveBetaRequest(5), seed=18).model
         assert glme.xi < lme.xi
@@ -242,7 +242,7 @@ class TestFitNsGlme:
         z = ns_sample(truth, seed=18)
         penalty = AdaptiveBetaRequest(5)
         glme = fit_ns_glme(z, X, penalty, seed=18)
-        lme = fit_ns_lme(z, X, seed=18)
+        lme = fit_ns_lme(z, X)
         built = penalty.build(lme.model.xi)
         # evaluate the glme objective at the lme solution
         vtilde = gumbel_lmoment_cov(z.size, B=1000, seed=18)
@@ -258,7 +258,7 @@ class TestFitNsGlme:
         X = gev11_design(40)
         truth = NsModel([0.0, -0.1], [1.0, 0.02], -0.3, X)
         z = ns_sample(truth, seed=18)
-        lme = fit_ns_lme(z, X, seed=18).model
+        lme = fit_ns_lme(z, X).model
         glme = fit_ns_glme(z, X, AdaptiveBetaRequest(5), seed=18).model
         assert glme.mu_coef[1] == lme.mu_coef[1]
         assert glme.sigma_coef[1] == lme.sigma_coef[1]
@@ -320,7 +320,7 @@ class TestRainfallSeries:
     """Reference fits of the rainfall fixture; skip until it is installed."""
 
     def test_lme_row(self, phliu):
-        fit = fit_ns_lme(phliu.values, phliu.time_design(), seed=42)
+        fit = fit_ns_lme(phliu.values, phliu.time_design())
         m = fit.model
         assert m.mu_coef[0] == pytest.approx(121.26, rel=0.01)
         assert m.mu_coef[1] == pytest.approx(0.936, abs=0.02)
@@ -338,7 +338,7 @@ class TestRainfallSeries:
     def test_per_year_series_exceeds_plain_fit(self, phliu):
         # a lower shape with identical slopes lifts the whole curve
         z, X = phliu.values, phliu.time_design()
-        lme = fit_ns_lme(z, X, seed=42).model
+        lme = fit_ns_lme(z, X).model
         glme = fit_ns_glme(z, X, AdaptiveBetaRequest(5), seed=42).model
         for t in range(lme.n_obs):
             assert ns_return_level(glme, 40.0, t) > ns_return_level(lme, 40.0, t)
@@ -397,6 +397,24 @@ class TestLmomentSystem:
         steps = [min(1e-6, 0.1 * np.min(np.abs(kinks))), 1e-6, 1e-6 if abs(xi) > 1e-5 else 1e-4]
         want = self._central_differences(evaluate, theta, steps)
         np.testing.assert_allclose(jac, want, rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_residual_continuous_across_band_edge(self, sign):
+        _, evaluate = self._system(-0.2)
+
+        def r(xi):
+            return evaluate(np.array([0.05, 0.95, xi]))[0]
+
+        assert np.max(np.abs(r(sign * 1.001e-6) - r(sign * 0.999e-6))) < 1e-8
+
+    def test_residual_follows_the_shape_inside_band(self):
+        # between 0 and 0.9e-6 the residual moves by its shape derivative
+        # times the step; the sort order does not change with the shape
+        _, evaluate = self._system(-0.2)
+        theta = np.array([0.05, 0.95, 0.0])
+        r0, jac, _ = evaluate(theta)
+        r1 = evaluate(theta + np.array([0.0, 0.0, 0.9e-6]))[0]
+        np.testing.assert_allclose(r1 - r0, 0.9e-6 * jac[:, 2], rtol=1e-4)
 
     def test_matches_central_differences_near_support_edge(self):
         xi = 0.4
