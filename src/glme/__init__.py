@@ -7,6 +7,7 @@ from .errors import (
     DegenerateDataError,
     LSkewnessError,
     PenaltySupportError,
+    SampleSizeError,
     TransformError,
 )
 from .estimators import FitResult, fit_glme, fit_gmle, fit_lme, fit_mle, profile_xi

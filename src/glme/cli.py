@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -21,7 +22,7 @@ import numpy as np
 from .dataio import read_dataset
 from .errors import ConvergenceError
 from .estimators import profile_xi
-from .gev import return_level
+from .gev import GevParams, return_level
 from .methods import parse_method
 from .nonstationary import ns_return_level
 from .simulation import run_grid
@@ -65,7 +66,12 @@ def _fit_flags(parser: argparse.ArgumentParser):
     )
 
 
+@functools.cache
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The argument parser and its subparsers by command name, built on the
+    first call and shared by every later :func:`main` call in the process;
+    parsing and :func:`_apply_config` only read them, and no caller may
+    change them."""
     parser = argparse.ArgumentParser(
         prog="glme",
         description="GEV fitting by L-moments with penalty-weighted distance objectives",
@@ -358,9 +364,6 @@ def _cmd_simulate(args, out) -> int:
         if args.methods
         else None
     )
-    if methods is not None:
-        for m in methods:
-            parse_method(m)  # fail fast on typos
 
     def progress(done, total, cell):
         print(
@@ -482,8 +485,6 @@ def _cmd_trend(args, out) -> int:
 
 
 def _cmd_returns(args, out) -> int:
-    from .gev import GevParams
-
     params = GevParams(args.mu, args.sigma, args.xi)
     periods = _parse_float_list(args.return_periods, "return period")
     levels = [(T, return_level(params, T)) for T in periods]

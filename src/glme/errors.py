@@ -8,6 +8,7 @@ __all__ = [
     "FIT_FAILURES",
     "LSkewnessError",
     "PenaltySupportError",
+    "SampleSizeError",
     "TransformError",
 ]
 
@@ -32,6 +33,11 @@ class LSkewnessError(ValueError):
 
 class PenaltySupportError(ValueError):
     """A data-adaptive penalty's support came out empty for its shape estimate."""
+
+
+class SampleSizeError(ValueError):
+    """The sample is smaller than a method needs; every sample of that size
+    fails alike, so it is the caller's error, not a fit failure."""
 
 
 class TransformError(ValueError):

@@ -28,16 +28,24 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# loaded here, once, rather than lazily on the first np.unique
+# (_check_distinct, trend.mann_kendall) or np.median (nonstationary), so a
+# forked worker does not pay for it
+import numpy.ma  # noqa: F401
 
 from ._optim import brent
 # unused here; perfbench/tracing.py patches glme.estimators.nelder_mead by name
 from ._optim import nelder_mead  # noqa: F401
-from .errors import ConvergenceError, DegenerateDataError, LSkewnessError
+from .errors import ConvergenceError, DegenerateDataError, LSkewnessError, SampleSizeError
 from .gev import XI_EPS, GevParams, _reduced_variate
 from .lmoments import (
+    COV_MIN_N,
     EULER_GAMMA,
+    _LOG2,
+    _LOG3,
     CovMatrix3,
     LMomentTriple,
+    _lmoment_coefs,
     gev_lmoment_coefs,
     gev_population_lmoments,
     gld,
@@ -47,6 +55,7 @@ from .lmoments import (
 from .penalties import SENTINEL, AdaptiveBetaRequest, FlatPenalty, _penalty_slopes
 
 __all__ = [
+    "FIT_MIN_N",
     "FitResult",
     "ProfilePoint",
     "fit_lme",
@@ -58,8 +67,9 @@ __all__ = [
     "profile_xi",
 ]
 
-_LOG2 = math.log(2.0)
-_LOG3 = math.log(3.0)
+# the smallest sample any fit accepts; fit_glme and the lme/glme profile
+# need lmoments.COV_MIN_N, the covariance's minimum
+FIT_MIN_N = 5
 
 # shape search box shared by all optimizing estimators; L-moments and return
 # levels exist for xi > -1, and fitted shapes are kept inside (-1, 1)
@@ -181,7 +191,7 @@ def _params_from_lmoments(l: LMomentTriple) -> tuple[GevParams, int, float]:
     xi, iters = _invert_t3(l.t3)
     if abs(xi) < XI_EPS:
         xi = 0.0
-    a1, a2, _ = gev_lmoment_coefs(xi).tolist()
+    a1, a2, _ = _lmoment_coefs(xi)
     sigma = l.l2 / a2
     residual = abs(_tau3(xi) - l.t3)
     return GevParams(l.l1 - sigma * a1, sigma, xi), iters, residual
@@ -201,14 +211,14 @@ def _check_sample(x, min_n: int) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("x must be finite")
     if arr.size < min_n:
-        raise ValueError(f"need at least {min_n} observations, got {arr.size}")
+        raise SampleSizeError(f"need at least {min_n} observations, got {arr.size}")
     _check_distinct(arr)
     return arr
 
 
 def fit_lme(x) -> FitResult:
     """L-moment estimate: population L-moments equal the sample ones."""
-    arr = _check_sample(x, 5)
+    arr = _check_sample(x, FIT_MIN_N)
     l = sample_lmoments(arr)
     params, iters, residual = _params_from_lmoments(l)
     return FitResult(params, "lme", residual, True, iters, FlatPenalty())
@@ -309,9 +319,11 @@ def gev_neg_loglik(x: np.ndarray, mu: float, sigma: float, xi: float) -> float:
     return SENTINEL if nll is None else nll[0]
 
 
-def _default_init(arr: np.ndarray) -> GevParams:
+def _default_init(arr: np.ndarray, lme: FitResult | None = None) -> GevParams:
+    """The L-moment fit ``lme`` of ``arr`` (computed here when not given),
+    or where its L-skewness is out of range, the Gumbel moment fit."""
     try:
-        return fit_lme(arr).params
+        return (lme if lme is not None else fit_lme(arr)).params
     except LSkewnessError:
         # L-skewness out of range; start from the Gumbel moment fit
         l = sample_lmoments(arr)
@@ -489,9 +501,10 @@ def _newton(objective, theta: np.ndarray, current, stops=(), reach=None):
     return theta, current, n_eval, False
 
 
-def _fit_likelihood(arr: np.ndarray, penalty, init: GevParams | None) -> FitResult:
+def _fit_likelihood(arr: np.ndarray, penalty, init: GevParams | None,
+                    lme: FitResult | None) -> FitResult:
     method = "mle" if isinstance(penalty, FlatPenalty) else f"gmle.{penalty.label}"
-    start = init if init is not None else _default_init(arr)
+    start = init if init is not None else _default_init(arr, lme)
     # the penalty may exclude the start shape (only the beta families have
     # such gaps inside the box); then start at its mode instead
     shapes = [start.xi if penalty.neg_log(start.xi) < SENTINEL else penalty.mode]
@@ -522,33 +535,34 @@ def _fit_likelihood(arr: np.ndarray, penalty, init: GevParams | None) -> FitResu
     return result
 
 
-def fit_mle(x, init: GevParams | None = None) -> FitResult:
+def fit_mle(x, init: GevParams | None = None, lme: FitResult | None = None) -> FitResult:
     """Maximum likelihood estimate by damped Newton steps on the exact
     derivatives of the log-likelihood.
 
-    The default start is the L-moment estimate (the Gumbel moment fit when
-    the L-skewness is out of range), with the scale raised, if some
-    observation lies outside that start's support, until the farthest one
-    sits halfway inside it.  A given ``init`` is used as it is; an
-    infeasible one raises :class:`ConvergenceError`.
+    The default start is the L-moment estimate ``lme``, the :func:`fit_lme`
+    fit of the same sample, which is computed here when not given (the
+    Gumbel moment fit when the L-skewness is out of range), with the scale
+    raised, if some observation lies outside that start's support, until
+    the farthest one sits halfway inside it.  A given ``init`` is used as
+    it is; an infeasible one raises :class:`ConvergenceError`.
     """
-    return _fit_likelihood(_check_sample(x, 5), FlatPenalty(), init)
+    return _fit_likelihood(_check_sample(x, FIT_MIN_N), FlatPenalty(), init, lme)
 
 
 def fit_gmle(x, penalty, init: GevParams | None = None,
              lme: FitResult | None = None) -> FitResult:
     """Penalized maximum likelihood: adds -ln p(xi) to the likelihood objective.
 
-    Solved like :func:`fit_mle`.  When the penalty gives the start shape
-    zero weight, the search starts at the penalty's mode instead.  An
-    :class:`AdaptiveBetaRequest` penalty is built from the shape of ``lme``,
-    the :func:`fit_lme` fit of the same sample, which is computed here when
-    not given.
+    Solved like :func:`fit_mle`, from the same default start.  When the
+    penalty gives the start shape zero weight, the search starts at the
+    penalty's mode instead.  An :class:`AdaptiveBetaRequest` penalty is
+    built from the shape of ``lme``, which is computed here when not given.
     """
-    arr = _check_sample(x, 5)
+    arr = _check_sample(x, FIT_MIN_N)
     if isinstance(penalty, AdaptiveBetaRequest):
-        penalty = penalty.build((lme if lme is not None else fit_lme(arr)).params.xi)
-    return _fit_likelihood(arr, penalty, init)
+        lme = lme if lme is not None else fit_lme(arr)
+        penalty = penalty.build(lme.params.xi)
+    return _fit_likelihood(arr, penalty, init, lme)
 
 
 def _objective_const(V: CovMatrix3) -> float:
@@ -637,7 +651,7 @@ def fit_glme(
     Brent between the best grid point's neighbours.  ``iterations`` counts
     the shapes at which the profile was evaluated.
     """
-    arr = _check_sample(x, 10)  # the covariance needs 10 values
+    arr = _check_sample(x, COV_MIN_N)
     if isinstance(penalty, AdaptiveBetaRequest):
         penalty = penalty.build((lme if lme is not None else fit_lme(arr)).params.xi)
     if V is None:
@@ -690,8 +704,8 @@ def profile_xi(
     observation lies inside the support.  Grid points that are infeasible,
     or where the inner search fails, are flagged, not fatal.
     """
-    # the lme/glme curve needs the covariance, which needs 10 values
-    arr = _check_sample(x, 10 if method in ("lme", "glme") else 5)
+    # the lme/glme curve needs the covariance
+    arr = _check_sample(x, COV_MIN_N if method in ("lme", "glme") else FIT_MIN_N)
     if grid is None:
         grid = np.linspace(-0.9, 0.3, 61)
     grid = np.asarray(grid, dtype=float)
@@ -699,8 +713,10 @@ def profile_xi(
         raise ValueError("profile grid must lie inside (-1, 1)")
     if method not in ("mle", "gmle", "lme", "glme"):
         raise ValueError(f"unknown profile method {method!r}")
+    lme = None
     if isinstance(penalty, AdaptiveBetaRequest):
-        penalty = penalty.build(fit_lme(arr).params.xi)
+        lme = fit_lme(arr)
+        penalty = penalty.build(lme.params.xi)
 
     if method in ("lme", "glme"):
         V = lmoment_cov(arr, B=B, seed=seed)
@@ -710,7 +726,7 @@ def profile_xi(
                 for xi, v in zip(grid, values)]
 
     evaluate = _penalized_nll(arr, penalty)
-    init = _default_init(arr)
+    init = _default_init(arr, lme)
     out = []
     for xi in grid.tolist():
         objective = _shape_held(evaluate, xi)

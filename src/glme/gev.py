@@ -20,6 +20,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# loaded here, once, rather than lazily on the first default_rng call
+# (_sample), so a forked worker does not pay for it
+from numpy.random import default_rng
 
 __all__ = [
     "XI_EPS",
@@ -174,7 +177,7 @@ def gev_sample(params: GevParams, n: int, seed: int) -> np.ndarray:
 
 def _sample(mu, sigma, xi: float, n: int, seed: int) -> np.ndarray:
     """Inverse-CDF draws of ``n`` values; ``mu``/``sigma`` scalars or length-n arrays."""
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     u = np.maximum(rng.random(n), 1e-15)
     return _quantile_from_y(mu, sigma, xi, -np.log(u))
 

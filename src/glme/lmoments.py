@@ -17,12 +17,15 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
+# loaded here, once, rather than lazily on the first default_rng call
+# (lmoment_cov, gumbel_lmoment_cov), so a forked worker does not pay for it
+from numpy.random import default_rng
 
-from .errors import DegenerateDataError
+from .errors import DegenerateDataError, SampleSizeError
 from .gev import XI_EPS, GevParams
 
 __all__ = [
+    "COV_MIN_N",
     "EULER_GAMMA",
     "GUMBEL_LMOMENTS",
     "LMomentTriple",
@@ -37,10 +40,15 @@ __all__ = [
 ]
 
 EULER_GAMMA = 0.5772156649015329
+_LOG2 = math.log(2.0)
+_LOG3 = math.log(3.0)
+
+# the smallest sample whose L-moment covariance is estimated
+COV_MIN_N = 10
 
 # First three L-moments of the standard Gumbel distribution:
 # (gamma, log 2, 2*log 3 - 3*log 2)
-GUMBEL_LMOMENTS = (EULER_GAMMA, math.log(2.0), 2.0 * math.log(3.0) - 3.0 * math.log(2.0))
+GUMBEL_LMOMENTS = (EULER_GAMMA, _LOG2, 2.0 * _LOG3 - 3.0 * _LOG2)
 
 
 @dataclass(frozen=True)
@@ -136,14 +144,19 @@ def gev_lmoment_coefs(xi) -> np.ndarray:
     has shape ``(..., 3)``.
     """
     xi = np.asarray(xi, dtype=float)
-    gumbel = np.abs(xi) < XI_EPS
-    x = np.where(gumbel, 1.0, xi)
-    g = gamma_fn(1.0 + x)
-    e2 = np.expm1(-x * math.log(2.0))
-    a2 = -e2 * g / x
-    tau3 = 2.0 * np.expm1(-x * math.log(3.0)) / e2 - 3.0
-    coefs = np.stack([(1.0 - g) / x, a2, tau3 * a2], axis=-1)
-    return np.where(gumbel[..., None], GUMBEL_LMOMENTS, coefs)
+    return np.array([_lmoment_coefs(x) for x in xi.ravel().tolist()]).reshape(*xi.shape, 3)
+
+
+def _lmoment_coefs(xi: float) -> tuple[float, float, float]:
+    """The coefficients of :func:`gev_lmoment_coefs` for one shape, as floats;
+    math.gamma and plain float arithmetic, with no array overhead."""
+    if abs(xi) < XI_EPS:
+        return GUMBEL_LMOMENTS
+    g = math.gamma(1.0 + xi)
+    e2 = math.expm1(-xi * _LOG2)
+    a2 = -e2 * g / xi
+    tau3 = 2.0 * math.expm1(-xi * _LOG3) / e2 - 3.0
+    return (1.0 - g) / xi, a2, tau3 * a2
 
 
 def gev_population_lmoments(params: GevParams) -> LMomentTriple:
@@ -151,7 +164,7 @@ def gev_population_lmoments(params: GevParams) -> LMomentTriple:
     mu, sigma, xi = params.as_tuple()
     if xi <= -1:
         raise ValueError(f"population L-moments require xi > -1, got {xi}")
-    a1, a2, a3 = gev_lmoment_coefs(xi).tolist()
+    a1, a2, a3 = _lmoment_coefs(xi)
     return LMomentTriple(mu + sigma * a1, sigma * a2, sigma * a3)
 
 
@@ -288,8 +301,9 @@ def lmoment_cov(x, method: str = "bootstrap", B: int = 1000, seed: int = 0) -> C
     """
     arr = np.asarray(x, dtype=float)
     n = arr.size
-    if n < 10:
-        raise ValueError(f"need at least 10 values to estimate the covariance, got {n}")
+    if n < COV_MIN_N:
+        raise SampleSizeError(
+            f"need at least {COV_MIN_N} values to estimate the covariance, got {n}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("x must be finite")
     if np.ptp(arr) == 0:
@@ -304,7 +318,7 @@ def lmoment_cov(x, method: str = "bootstrap", B: int = 1000, seed: int = 0) -> C
         # fall through to the bootstrap when the unbiased estimate is
         # numerically singular or indefinite
 
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     idx = rng.integers(0, n, size=(int(B), n))
     triples = _lmoments_from_sorted(np.sort(arr[idx], axis=1), 3)
     v = np.cov(triples, rowvar=False, ddof=1)
@@ -323,9 +337,9 @@ def gumbel_lmoment_cov(n: int, B: int = 1000, seed: int = 0) -> CovMatrix3:
     Parameter-free, so it can be held fixed while optimizing a transformed
     sample toward Gumbel L-moments.
     """
-    if n < 10:
-        raise ValueError(f"need n >= 10, got {n}")
-    rng = np.random.default_rng(seed)
+    if n < COV_MIN_N:
+        raise SampleSizeError(f"need n >= {COV_MIN_N}, got {n}")
+    rng = default_rng(seed)
     u = np.maximum(rng.random((int(B), n)), 1e-15)
     z = -np.log(-np.log(u))
     triples = _lmoments_from_sorted(np.sort(z, axis=1), 3)

@@ -19,7 +19,9 @@ import re
 from dataclasses import dataclass
 
 from . import estimators, nonstationary
-from .errors import FIT_FAILURES
+from .errors import FIT_FAILURES, LSkewnessError
+from .estimators import FIT_MIN_N
+from .lmoments import COV_MIN_N
 from .penalties import (
     AdaptiveBetaRequest,
     FlatPenalty,
@@ -44,6 +46,13 @@ class MethodSpec:
     def supports_nonstationary(self) -> bool:
         return self.kind in ("lme", "glme")
 
+    @property
+    def min_n(self) -> int:
+        """The smallest sample this method fits, stationary or trend:
+        ``COV_MIN_N`` for glme, which estimates an L-moment covariance, and
+        ``FIT_MIN_N`` for the others."""
+        return COV_MIN_N if self.kind == "glme" else FIT_MIN_N
+
     def fit_stationary(self, x, cov_method: str = "bootstrap", B: int = 1000, seed: int = 0,
                        alpha_n: float = 1.0, memo: dict | None = None):
         """Fit the sample ``x``.
@@ -59,12 +68,20 @@ class MethodSpec:
 
         if self.kind == "lme":
             return lme()
-        if self.kind == "mle":
-            return estimators.fit_mle(x)
+        if self.kind in ("mle", "gmle"):
+            # the shared L-moment fit is the likelihood fits' start; where
+            # its L-skewness is out of range they find their own start
+            start = None
+            if memo is not None:
+                try:
+                    start = lme()
+                except LSkewnessError:
+                    pass
+            if self.kind == "mle":
+                return estimators.fit_mle(x, lme=start)
+            return estimators.fit_gmle(x, self.penalty, lme=start)
         needs_lme = memo is not None and isinstance(self.penalty, AdaptiveBetaRequest)
         shared_lme = lme() if needs_lme else None
-        if self.kind == "gmle":
-            return estimators.fit_gmle(x, self.penalty, lme=shared_lme)
         V = None
         if memo is not None:
             V = _shared(memo, ("cov", cov_method, B, seed),

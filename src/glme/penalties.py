@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from scipy.special import beta as beta_fn
-
 from .errors import PenaltySupportError
 
 __all__ = [
@@ -106,7 +104,10 @@ class _BetaBase(_PenaltyBase):
 
     @cached_property
     def _norm(self) -> float:
-        return beta_fn(self.p, self.q) * (self.upper - self.lower) ** (self.p + self.q - 1.0)
+        """``B(p, q) (upper - lower)**(p + q - 1)``, the beta function through
+        log-gamma so that it stays finite for any p and q."""
+        log_beta = math.lgamma(self.p) + math.lgamma(self.q) - math.lgamma(self.p + self.q)
+        return math.exp(log_beta) * (self.upper - self.lower) ** (self.p + self.q - 1.0)
 
     def value(self, xi: float) -> float:
         """Beta density rescaled to the interval (lower, upper); 0 outside."""

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FIT_FAILURES
+from .errors import FIT_FAILURES, SampleSizeError
 from .gev import GevParams, gev_sample, return_level
 from .methods import MethodSpec, parse_method
 from .nonstationary import NsModel, gev11_design, ns_return_level, ns_sample
@@ -230,6 +230,7 @@ def build_grid(
         methods = (
             DEFAULT_STATIONARY_METHODS if scenario == "stationary" else DEFAULT_GEV11_METHODS
         )
+    _check_methods(scenario, methods, ns)
     cells = []
     index = 0
     for xi in xis:
@@ -249,6 +250,21 @@ def build_grid(
             )
             index += 1
     return cells
+
+
+def _check_methods(scenario: str, methods, ns) -> None:
+    """Reject, before any trial runs, a method name that does not parse, a
+    trend scenario for a stationary-only method, and a sample size below a
+    method's minimum; every trial would fail alike."""
+    for m in methods:
+        if not isinstance(m, str):
+            continue
+        spec = parse_method(m)
+        if scenario == "gev11" and not spec.supports_nonstationary:
+            raise ValueError(f"method {m!r} is not available for covariate models")
+        short = [n for n in ns if n < spec.min_n]
+        if short:
+            raise SampleSizeError(f"method {m!r} needs n >= {spec.min_n}, got n={short[0]}")
 
 
 def _spread_trials(cells: list[SimCell], jobs: int):

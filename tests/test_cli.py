@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import glme
-from glme.cli import main
+from glme.cli import build_parser, main
 from glme.dataio import Dataset, fixture_path, read_dataset
 from glme.nonstationary import NsModel, gev11_design, ns_sample
 
@@ -252,12 +252,13 @@ class TestSimulate:
         assert a == b
         assert "cell 1/2" in err and "cell 2/2" in err
 
-    # sha256 of the CSV on both default grids, recorded before the methods of
-    # a trial shared their L-moment fit and covariance; a change that moves
-    # these numbers on purpose records new digests and says why
+    # sha256 of the CSV on both default grids, recorded when gamma and the
+    # beta function moved from scipy.special to the math module (last-bit
+    # moves; the same n_failures in every row); a change that moves these
+    # numbers on purpose records new digests and says why
     GRID_DIGESTS = {
-        "stationary": "c0dbfb117a55c466b0fcd280048747839e264489b6135d87bd85156c2a94fa51",
-        "gev11": "f190d3fb75b61e6f63db30cc4f88daa5b963645b75e5bc10af41819ba857660c",
+        "stationary": "b0c3740b7292218893c2b1e4ae35b47e01643f7d06125871430ba4cfea9666f3",
+        "gev11": "1b57fed167ee2d1c7b395870797b07f7848a4ba7e82a3ae325007635b30faabd",
     }
 
     @pytest.mark.parametrize("scenario", GRID_DIGESTS)
@@ -266,6 +267,18 @@ class TestSimulate:
                                 "--cov-b", "100", "--format", "csv"], capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.GRID_DIGESTS[scenario]
+
+    def test_sample_size_below_a_method_minimum_fails_fast(self, capsys):
+        args = ["simulate", "--xi=-0.3", "--methods", "lme,glme.n.c3", "--trials", "3"]
+        code, out, err = run_cli(args + ["--n", "8"], capsys)
+        assert code == 1 and out == ""
+        assert "'glme.n.c3' needs n >= 10, got n=8" in err
+        assert "cell" not in err  # refused before any cell ran
+        code, out, _ = run_cli(args + ["--n", "10"], capsys)
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [(r["method"], r["n"], r["n_failures"]) for r in rows] == [
+            ("lme", "10", "0"), ("glme.n.c3", "10", "0")]
 
     def test_bad_method_fails_fast(self, capsys):
         code, out, err = run_cli(
@@ -372,6 +385,45 @@ class TestConfig:
         code, _, err = run_cli(["fit", flood_csv, "--config", str(cfg)], capsys)
         assert code == 1
         assert "line 1" in err
+
+
+class TestParserCache:
+    """``main`` builds the parser once per process and shares it."""
+
+    def test_back_to_back_calls_print_what_fresh_calls_print(
+            self, flood_csv, trend_csv, tmp_path, capsys):
+        fit_cfg = tmp_path / "fit.cfg"
+        fit_cfg.write_text("method=lme\nformat=json\nseed=7\n")
+        csv_cfg = tmp_path / "csv.cfg"
+        csv_cfg.write_text("format=csv\ncov-b=200\n")
+        calls = [
+            ["fit", flood_csv, "--config", str(fit_cfg)],
+            ["fit", flood_csv, "--method", "mle", "--format", "csv"],
+            ["fit", flood_csv, "--config", str(fit_cfg), "--method", "gmle.n.c2"],
+            ["fit", "--no-such-flag"],
+            ["fit-ns", trend_csv, "--method", "lme", "--refine", "--config", str(csv_cfg)],
+            ["fit-ns", trend_csv, "--method", "lme"],
+            ["returns", "--mu", "1", "--sigma", "2", "--xi=-0.1", "--config", str(csv_cfg)],
+            ["trend", flood_csv, "--format", "json"],
+            ["fit", flood_csv, "--config", str(csv_cfg), "--method", "glme.n.c2"],
+            ["simulate", "--xi=-0.3", "--n", "30", "--methods", "lme", "--trials", "2"],
+            ["fit", flood_csv],
+        ]
+
+        def call(argv):
+            try:
+                return run_cli(argv, capsys)
+            except SystemExit as exc:  # argparse rejects the flags
+                return (exc.code, *capsys.readouterr())
+
+        shared = [call(argv) for argv in calls]
+        assert build_parser() is build_parser()
+        fresh = []
+        for argv in calls:
+            build_parser.cache_clear()
+            fresh.append(call(argv))
+        assert shared == fresh
+        assert [c for c, _, _ in shared] == [0, 0, 0, 2, 0, 0, 1, 0, 0, 0, 0]
 
 
 class TestEntryPoint:

@@ -6,7 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from glme.errors import ConvergenceError, DegenerateDataError, LSkewnessError, PenaltySupportError
+from glme.errors import (
+    ConvergenceError,
+    DegenerateDataError,
+    LSkewnessError,
+    PenaltySupportError,
+    SampleSizeError,
+)
 from glme.estimators import (
     _default_init,
     _nll_terms,
@@ -254,6 +260,12 @@ class TestGlmeMinimumSample:
         with pytest.raises(ValueError, match="at least 10 observations"):
             profile_xi(self.X7, method=method)
 
+    def test_the_failure_is_typed(self):
+        with pytest.raises(SampleSizeError):
+            fit_glme(self.X7)
+        with pytest.raises(SampleSizeError, match="at least 5 observations"):
+            fit_mle(self.X7[:4])
+
     def test_likelihood_profile_takes_seven(self):
         assert len(profile_xi(self.X7, method="mle", grid=[-0.2, 0.0])) == 2
 
@@ -270,6 +282,14 @@ class TestGivenLmeFit:
         x = gev_sample(GevParams(100.0, 30.0, -0.3), 30, seed=8)
         penalty = AdaptiveBetaRequest(choice)
         assert fitter(x, penalty, lme=fit_lme(x)) == fitter(x, penalty)
+
+
+    @pytest.mark.parametrize("fitter", [
+        fit_mle, lambda x, **kw: fit_gmle(x, NormalPenalty.from_choice(2), **kw),
+    ], ids=["mle", "gmle.n.c2"])
+    def test_likelihood_start_equal_to_own_lme_fit(self, fitter):
+        x = gev_sample(GevParams(100.0, 30.0, -0.3), 30, seed=8)
+        assert fitter(x, lme=fit_lme(x)) == fitter(x)
 
 
 class TestGlmeAgainstNelderMead:

@@ -4,13 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gamma as gamma_fn
 
-from glme.errors import DegenerateDataError
-from glme.gev import GevParams, gev_sample
+from glme.errors import DegenerateDataError, SampleSizeError
+from glme.estimators import _GLME_GRID, _XI_HI, _XI_LO
+from glme.gev import XI_EPS, GevParams, gev_sample
 from glme.lmoments import (
     GUMBEL_LMOMENTS,
     CovMatrix3,
     _lmoments_from_sorted,
+    gev_lmoment_coefs,
     gev_population_lmoments,
     gld,
     gumbel_lmoment_cov,
@@ -122,6 +125,42 @@ class TestPopulationLmoments:
             gev_population_lmoments(GevParams(0.0, 1.0, -1.0))
 
 
+class TestCoefsAgainstScipyGamma:
+    """``gev_lmoment_coefs`` computes Gamma(1 + xi) with ``math.gamma``;
+    ``scipy.special.gamma`` is the oracle."""
+
+    XI = np.concatenate([
+        np.linspace(_XI_LO, _XI_HI, _GLME_GRID),
+        [s * XI_EPS * (1.0 + d) for s in (-1.0, 1.0) for d in (-1e-3, 1e-3)],
+        [-0.99, 0.99],
+    ])
+
+    def test_relative_error(self):
+        got = gev_lmoment_coefs(self.XI)
+        gumbel = np.abs(self.XI) < XI_EPS
+        x = np.where(gumbel, 1.0, self.XI)
+        g = gamma_fn(1.0 + x)
+        e2 = np.expm1(-x * math.log(2.0))
+        a2 = -e2 * g / x
+        a3 = (2.0 * np.expm1(-x * math.log(3.0)) / e2 - 3.0) * a2
+        ref = np.where(gumbel[:, None], GUMBEL_LMOMENTS, np.column_stack([(1.0 - g) / x, a2, a3]))
+        np.testing.assert_allclose(got[:, 1], ref[:, 1], rtol=1e-14, atol=0.0)
+        # a1 = (1 - g)/xi cancels as g nears 1 (xi near 0 and 1), so it is
+        # checked through the gamma value it carries, g = 1 - xi a1
+        np.testing.assert_allclose(np.where(gumbel, 1.0, 1.0 - x * got[:, 0]),
+                                   np.where(gumbel, 1.0, g), rtol=1e-14, atol=0.0)
+        # a3 = (2 r - 3) a2 with r near 3/2 cancels where tau3 crosses 0, so
+        # it is checked against the size of its terms, 3 |a2|
+        assert np.all(np.abs(got[:, 2] - ref[:, 2]) <= 1e-14 * 3.0 * np.abs(ref[:, 1]))
+        assert np.all(got[gumbel] == GUMBEL_LMOMENTS)
+
+    def test_scalar_and_array_agree(self):
+        rows = gev_lmoment_coefs(self.XI)
+        scalars = np.array([gev_lmoment_coefs(xi) for xi in self.XI.tolist()])
+        assert gev_lmoment_coefs(-0.3).shape == (3,)
+        np.testing.assert_array_equal(rows, scalars)
+
+
 class TestGumbelPopulation:
     def test_equals_gev_at_standard_gumbel(self):
         assert gumbel_population_lmoments() == gev_population_lmoments(
@@ -158,6 +197,13 @@ class TestLmomentCov:
             lmoment_cov(np.arange(5.0))
         with pytest.raises(ValueError, match="method"):
             lmoment_cov(np.arange(20.0), method="jackknife")
+
+    def test_small_samples_raise_the_typed_error(self):
+        with pytest.raises(SampleSizeError, match="at least 10 values"):
+            lmoment_cov(np.arange(9.0))
+        with pytest.raises(SampleSizeError, match="n >= 10"):
+            gumbel_lmoment_cov(9)
+        assert lmoment_cov(np.arange(10.0), B=50).entries.shape == (3, 3)
 
     def test_exact_estimator_is_calibrated(self):
         # mean of the closed-form estimate over many samples matches the

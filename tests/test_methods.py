@@ -6,7 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from glme.errors import FIT_FAILURES, ConvergenceError, DegenerateDataError, PenaltySupportError
+from glme.errors import (
+    FIT_FAILURES,
+    ConvergenceError,
+    DegenerateDataError,
+    PenaltySupportError,
+    SampleSizeError,
+)
 from glme.gev import GevParams, gev_sample, return_level
 from glme.methods import MethodSpec, parse_method
 from glme.nonstationary import NsModel, gev11_design, ns_return_level, ns_sample
@@ -161,3 +167,33 @@ class TestEdgeCorpus:
                 parse_method(name).fit_stationary(x, B=200)
         for name in ("lme", "glme", "glme.b.c1"):
             assert parse_method(name).fit_stationary(x, B=200).converged
+
+
+class TestMinimumSize:
+    """``MethodSpec.min_n`` is the size below which every fit, stationary or
+    trend, raises ``SampleSizeError``, and from which it fits."""
+
+    @pytest.mark.parametrize("name, min_n", [
+        ("lme", 5), ("mle", 5), ("gmle.b.c1", 5), ("gmle.n.c2", 5),
+        ("glme", 10), ("glme.b.c1", 10), ("glme.n.c3", 10),
+    ])
+    def test_stationary(self, name, min_n):
+        spec = parse_method(name)
+        assert spec.min_n == min_n
+        with pytest.raises(SampleSizeError):
+            spec.fit_stationary(gev_sample(GevParams(100.0, 30.0, -0.2), min_n - 1, 4), B=50)
+        fit = spec.fit_stationary(gev_sample(GevParams(100.0, 30.0, -0.2), min_n, 4), B=50)
+        assert fit.converged
+
+    @pytest.mark.parametrize("name", TREND_METHODS)
+    def test_trend(self, name):
+        spec = parse_method(name)
+
+        def fit(n):
+            X = gev11_design(n)
+            return spec.fit_ns(ns_sample(NsModel([0.0, -0.1], [1.0, 0.02], -0.2, X), 3), X,
+                               B=50)
+
+        with pytest.raises(SampleSizeError):
+            fit(spec.min_n - 1)
+        assert fit(spec.min_n).converged

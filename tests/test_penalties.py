@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import beta as beta_fn
 
 from glme.errors import PenaltySupportError
 from glme.penalties import (
@@ -181,6 +182,26 @@ class TestAdaptiveBeta:
         assert pen.q == 15.0
         with pytest.raises(ValueError):
             AdaptiveBetaRequest(7)
+
+
+class TestBetaNorm:
+    """The beta families' normalizer uses ``math.lgamma``;
+    ``scipy.special.beta`` is the oracle."""
+
+    @staticmethod
+    def _check(penalty):
+        ref = beta_fn(penalty.p, penalty.q) * (penalty.upper - penalty.lower) ** (
+            penalty.p + penalty.q - 1.0)
+        assert abs(penalty._norm / ref - 1.0) <= 1e-13
+
+    @pytest.mark.parametrize("name", sorted(BETA_PRESETS))
+    def test_presets(self, name):
+        self._check(FixedBetaPenalty.from_preset(name))
+
+    @pytest.mark.parametrize("xi_hat", [-0.45, -0.1, 0.2])
+    @pytest.mark.parametrize("choice", sorted(ADAPTIVE_CHOICES))
+    def test_adaptive_choices(self, choice, xi_hat):
+        self._check(build_beta_adaptive(choice, xi_hat))
 
 
 class TestFlat:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from glme import estimators, nonstationary
-from glme.errors import ConvergenceError, LSkewnessError
-from glme.gev import GevParams, return_level
+from glme.errors import ConvergenceError, LSkewnessError, SampleSizeError
+from glme.gev import GevParams, gev_sample, return_level
+from glme.methods import parse_method
 from glme.simulation import (
     DEFAULT_GEV11_METHODS,
     DEFAULT_STATIONARY_METHODS,
@@ -231,6 +232,30 @@ class TestSharedPieces:
         assert all(m.n_failures == 0 for m in run_cell(cell).methods)
         assert len(calls) == 4
 
+    def test_one_lme_fit_per_trial(self, monkeypatch):
+        # lme, the likelihood fits' start and the adaptive penalty's shape
+        calls = _counting(monkeypatch, estimators, "fit_lme")
+        cell = SimCell("stationary", -0.3, 30, ("lme", "mle", "gmle.b.c1"), N=4, B=100)
+        assert all(m.n_failures == 0 for m in run_cell(cell).methods)
+        assert len(calls) == 4
+
+    def test_shared_start_leaves_likelihood_fits_unchanged(self):
+        def outcome(spec, x, memo=None):
+            try:
+                return spec.fit_stationary(x, memo=memo)
+            except LSkewnessError as exc:
+                return str(exc)
+
+        samples = [gev_sample(GevParams(100.0, 30.0, 0.3), 30, seed) for seed in range(6)]
+        skewed = gev_sample(GevParams(100.0, 30.0, 0.2), 30, seed=11)
+        skewed[np.argmin(skewed)] -= 400.0  # L-skewness below the range of a GEV
+        for x in samples + [skewed]:
+            memo = {}
+            for name in ("lme", "mle", "gmle.b.c1", "gmle.n.c2"):
+                spec = parse_method(name)
+                assert outcome(spec, x, memo) == outcome(spec, x)
+        assert isinstance(outcome(parse_method("lme"), skewed), str)
+
     def test_one_covariance_per_trial(self, monkeypatch):
         calls = _counting(monkeypatch, estimators, "lmoment_cov")
         cell = SimCell("stationary", -0.3, 30, ("glme.n.c3", "glme.b.c1"), N=4, B=100)
@@ -253,3 +278,28 @@ class TestSharedPieces:
         monkeypatch.setattr(estimators, "fit_lme", refuse)
         cell = SimCell("stationary", -0.3, 30, ("glme.n.c3", "lme", "glme.b.c1"), N=3, B=100)
         assert [m.n_failures for m in run_cell(cell).methods] == [0, 3, 3]
+
+
+class TestUpFrontChecks:
+    """A grid is refused before any trial runs where every trial would fail alike."""
+
+    @pytest.mark.parametrize("methods, ns, minimum", [
+        (("lme", "glme.n.c3"), (30, 8), 10),
+        (("mle", "gmle.b.c1"), (4,), 5),
+    ])
+    def test_sample_size_below_a_method_minimum(self, methods, ns, minimum):
+        with pytest.raises(SampleSizeError, match=f"needs n >= {minimum}"):
+            build_grid(xis=(-0.3,), ns=ns, methods=methods, N=2)
+
+    def test_minimum_sizes_pass(self):
+        reports = run_grid(xis=(-0.3,), ns=(10,), methods=("lme", "mle", "glme.n.c3"), N=2,
+                           B=50)
+        assert [m.n for m in reports[0].methods] == [10, 10, 10]
+
+    def test_stationary_only_method_on_the_trend_scenario(self):
+        with pytest.raises(ValueError, match="not available for covariate models"):
+            build_grid("gev11", xis=(-0.3,), methods=("lme", "mle"), N=2)
+
+    def test_unknown_method(self):
+        with pytest.raises(ValueError, match="unknown method"):
+            build_grid(xis=(-0.3,), ns=(30,), methods=("nope",), N=2)
