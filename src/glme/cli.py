@@ -51,15 +51,6 @@ def _fit_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--penalty", default="flat", help="penalty description (default flat)")
     parser.add_argument("--alpha-n", type=float, default=1.0, help="penalty weight (default 1)")
     parser.add_argument(
-        "--cov",
-        choices=("bootstrap", "exact"),
-        default="bootstrap",
-        help="L-moment covariance estimator (default bootstrap)",
-    )
-    parser.add_argument(
-        "--cov-b", type=int, default=1000, help="bootstrap resamples for the covariance"
-    )
-    parser.add_argument(
         "--return-periods",
         default="50,100,200",
         help="comma-separated return periods (default 50,100,200)",
@@ -81,6 +72,16 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p = registry["fit"] = subparsers.add_parser("fit", help="fit a stationary GEV model")
     _fit_flags(p)
+    # fit-ns takes neither: the trend objective's covariance is exact
+    p.add_argument(
+        "--cov",
+        choices=("bootstrap", "exact"),
+        default="bootstrap",
+        help="L-moment covariance estimator (default bootstrap)",
+    )
+    p.add_argument(
+        "--cov-b", type=int, default=1000, help="bootstrap resamples for the covariance"
+    )
     p.add_argument(
         "--method",
         default="glme",
@@ -126,7 +127,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
         "--cov", choices=("bootstrap", "exact"), default="bootstrap",
         help="covariance estimator inside each trial",
     )
-    p.add_argument("--cov-b", type=int, default=500, help="bootstrap resamples per trial")
+    p.add_argument(
+        "--cov-b", type=int, default=500,
+        help="bootstrap resamples per trial of the stationary covariance; gev11 cells "
+             "use the exact Gumbel covariance (default 500)",
+    )
     p.add_argument(
         "--jobs", type=int, default=1,
         help="worker processes; each cell's trials are spread across them (default 1)",
@@ -290,8 +295,7 @@ def _cmd_fit_ns(args, out) -> int:
     X = _ns_design(ds)
     spec = parse_method(args.method, args.penalty)
     periods = _parse_float_list(args.return_periods, "return period")
-    fit = spec.fit_ns(ds.values, X, B=args.cov_b, seed=args.seed,
-                      location_method=args.location, refine=args.refine,
+    fit = spec.fit_ns(ds.values, X, location_method=args.location, refine=args.refine,
                       alpha_n=args.alpha_n)
     model = fit.model
     end = model.n_obs - 1

@@ -4,11 +4,13 @@ generalized L-moment distance.
 Sample L-moments are the direct unbiased estimators, computed through
 probability-weighted moments of the order statistics in O(n log n).  Two
 estimators of the covariance matrix of the first three sample L-moments
-are provided: a seeded nonparametric bootstrap (the default) and the
-distribution-free unbiased closed form, which falls back to the bootstrap
-on the rare samples where it is not positive definite.  Near-singular
-estimates are ridge-regularized so the quadratic distance below is always
-well defined.
+of a data sample are provided: a seeded nonparametric bootstrap (the
+default) and the distribution-free unbiased closed form, which falls back
+to the bootstrap on the rare samples where it is not positive definite.
+Near-singular estimates are ridge-regularized so the quadratic distance
+below is always well defined.  For standard Gumbel samples, which the
+trend model's objective uses, the covariance is known exactly for every
+sample size and is computed in closed form.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 # loaded here, once, rather than lazily on the first default_rng call
-# (lmoment_cov, gumbel_lmoment_cov), so a forked worker does not pay for it
+# (lmoment_cov's bootstrap), so a forked worker does not pay for it
 from numpy.random import default_rng
 
 from .errors import DegenerateDataError, SampleSizeError
@@ -49,6 +51,23 @@ COV_MIN_N = 10
 # First three L-moments of the standard Gumbel distribution:
 # (gamma, log 2, 2*log 3 - 3*log 2)
 GUMBEL_LMOMENTS = (EULER_GAMMA, _LOG2, 2.0 * _LOG3 - 3.0 * _LOG2)
+
+# (l1, l2, l3) = _PWM_TO_LMOMENTS @ (b0, b1, b2)
+_PWM_TO_LMOMENTS = np.array([[1.0, 0.0, 0.0], [-1.0, 2.0, 0.0], [1.0, -6.0, 6.0]])
+
+# For k <= m, _GUMBEL_PWM_ZETA[k, m][c - 1] = Cov(M_a, M_b) / (a b), where
+# M_a and M_b are the maxima of a = k + 1 and b = m + 1 standard Gumbel
+# variables that share c of them.  By Hoeffding's covariance identity,
+# Cov(M_a, M_b) = Li2(-(b-c)/a) - Li2(-b/a) + Li2(-(a-c)/b) - Li2(-a/b)
+# (Li2 the dilogarithm); the values are those sums to double precision.
+_GUMBEL_PWM_ZETA = {
+    (0, 0): (1.6449340668482264,),  # pi^2/6
+    (0, 1): (0.5313467701916069,),
+    (0, 2): (0.27055406012361216,),
+    (1, 1): (0.1870264132502335, 0.4112335167120566),  # c = 2: pi^2/24
+    (1, 2): (0.09927248064714791, 0.21312013947852715),
+    (2, 2): (0.05393614444552774, 0.11409642376362328, 0.18277045187202515),  # c = 3: pi^2/54
+}
 
 
 @dataclass(frozen=True)
@@ -92,7 +111,7 @@ def _lmoment_weights(n: int) -> np.ndarray:
     i = np.arange(n, dtype=float)
     w1 = i / (n - 1)
     pwm = np.array([np.ones(n), w1, w1 * (i - 1) / (n - 2)]) / n
-    return np.array([[1.0, 0.0, 0.0], [-1.0, 2.0, 0.0], [1.0, -6.0, 6.0]]) @ pwm
+    return _PWM_TO_LMOMENTS @ pwm
 
 
 def _lmoments_from_sorted(xs: np.ndarray, order: int) -> np.ndarray:
@@ -285,8 +304,7 @@ def _exact_cov_matrix(xs: np.ndarray) -> np.ndarray:
                 scale *= n - t
             theta = (pair_sum(k, m) + pair_sum(m, k)) / scale
             cov_b[k, m] = cov_b[m, k] = b[k] * b[m] - theta
-    a = np.array([[1.0, 0.0, 0.0], [-1.0, 2.0, 0.0], [1.0, -6.0, 6.0]])
-    v = a @ cov_b @ a.T
+    v = _PWM_TO_LMOMENTS @ cov_b @ _PWM_TO_LMOMENTS.T
     return (v + v.T) / 2.0
 
 
@@ -330,23 +348,30 @@ def lmoment_cov(x, method: str = "bootstrap", B: int = 1000, seed: int = 0) -> C
     return cov
 
 
-def gumbel_lmoment_cov(n: int, B: int = 1000, seed: int = 0) -> CovMatrix3:
-    """Covariance of sample L-moments of standard Gumbel samples of size n.
+def gumbel_lmoment_cov(n: int) -> CovMatrix3:
+    """Exact covariance of the first three sample L-moments of a standard
+    Gumbel sample of size n.
 
-    Parametric bootstrap: B independent Gumbel samples, one triple each.
-    Parameter-free, so it can be held fixed while optimizing a transformed
-    sample toward Gumbel L-moments.
+    Parameter-free, so it is held fixed while a transformed sample is fitted
+    toward the Gumbel L-moments.  The sample PWM ``b_k`` is a U-statistic of
+    degree ``a = k + 1`` with kernel ``max(X_1..X_a) / a``, so Hoeffding's
+    (1948) covariance of two U-statistics gives, for ``a <= b = m + 1``,
+
+        Cov(b_k, b_m) = sum_{c=1..a} C(b, c) C(n-b, a-c) / C(n, a) * zeta[k, m, c]
+
+    with the constants ``zeta`` of ``_GUMBEL_PWM_ZETA``; the L-moment
+    covariance is ``A Cov(b) A'`` (the finite-sample covariance of Elamir &
+    Seheult 2004, in closed form).
     """
     if n < COV_MIN_N:
         raise SampleSizeError(f"need n >= {COV_MIN_N}, got {n}")
-    rng = default_rng(seed)
-    u = np.maximum(rng.random((int(B), n)), 1e-15)
-    z = -np.log(-np.log(u))
-    triples = _lmoments_from_sorted(np.sort(z, axis=1), 3)
-    v = np.cov(triples, rowvar=False, ddof=1)
-    v = (v + v.T) / 2.0
-    v, ridged = _regularize(v)
-    return CovMatrix3(v, "regularized" if ridged else "bootstrap")
+    cov_b = np.empty((3, 3))
+    for (k, m), zeta in _GUMBEL_PWM_ZETA.items():
+        a, b = k + 1, m + 1
+        total = sum(math.comb(b, c) * math.comb(n - b, a - c) * z for c, z in enumerate(zeta, 1))
+        cov_b[k, m] = cov_b[m, k] = total / math.comb(n, a)
+    v = _PWM_TO_LMOMENTS @ cov_b @ _PWM_TO_LMOMENTS.T
+    return CovMatrix3((v + v.T) / 2.0, "exact")
 
 
 def gld(lam: LMomentTriple, l: LMomentTriple, V: CovMatrix3) -> float:

@@ -91,8 +91,8 @@ class MethodSpec:
             lme=shared_lme,
         )
 
-    def fit_ns(self, z, X, B: int = 1000, seed: int = 0, location_method: str = "tukey",
-               refine: bool = False, alpha_n: float = 1.0, memo: dict | None = None):
+    def fit_ns(self, z, X, location_method: str = "tukey", refine: bool = False,
+               alpha_n: float = 1.0, memo: dict | None = None):
         """Fit the trend model to ``z`` on covariates ``X``; ``memo`` keeps
         the trend L-moment fit per ``(location_method, refine)`` as in
         :meth:`fit_stationary`."""
@@ -107,8 +107,7 @@ class MethodSpec:
         if self.kind == "lme":
             return lme()
         return nonstationary.fit_ns_glme(
-            z, X, self.penalty, alpha_n=alpha_n, B=B, seed=seed,
-            location_method=location_method, refine=refine,
+            z, X, self.penalty, alpha_n=alpha_n, location_method=location_method, refine=refine,
             lme=lme() if memo is not None else None,
         )
 

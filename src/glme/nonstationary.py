@@ -13,9 +13,9 @@ parameters last:
    a standard Gumbel distribution -- either exactly (L-moment matching) or
    by minimizing a penalized quadratic distance in those L-moments.
 
-The covariance weighting the quadratic distance is the parametric
-bootstrap covariance of standard-Gumbel sample L-moments, which depends
-only on the sample size and therefore stays fixed during optimization.
+The covariance weighting the quadratic distance is the exact covariance
+of standard-Gumbel sample L-moments, which depends only on the sample size
+and therefore stays fixed during optimization.
 """
 
 from __future__ import annotations
@@ -27,10 +27,17 @@ import numpy as np
 
 # unused here; perfbench/tracing.py patches glme.nonstationary.nelder_mead by name
 from ._optim import nelder_mead  # noqa: F401
-from .errors import ConvergenceError, DegenerateDataError, LSkewnessError, TransformError
+from .errors import (
+    ConvergenceError,
+    DegenerateDataError,
+    LSkewnessError,
+    SampleSizeError,
+    TransformError,
+)
 from .estimators import _XI_HI, _XI_LO, _check_distinct, _objective_const, fit_lme
 from .gev import XI_EPS, GevParams, _reduced_variate, _sample, return_level
 from .lmoments import (
+    COV_MIN_N,
     CovMatrix3,
     _lmoment_weights,
     gld,
@@ -516,8 +523,6 @@ def fit_ns_glme(
     X,
     penalty=FlatPenalty(),
     alpha_n: float = 1.0,
-    B: int = 1000,
-    seed: int = 0,
     location_method: str = "tukey",
     refine: bool = False,
     lme: NsFitResult | None = None,
@@ -532,11 +537,17 @@ def fit_ns_glme(
     When the penalty gives that shape zero weight, the search starts at
     the penalty's mode instead.  The objective
     ``0.5 * |L^-1 r|**2 + alpha_n * (-ln p(xi)) + C``, with ``V = L L'`` the
-    Gumbel L-moment covariance, is minimized by Levenberg-Marquardt steps
-    (see :func:`_levenberg_marquardt`); ``iterations`` counts the
-    evaluations of the equations.
+    exact covariance of standard-Gumbel sample L-moments at the series'
+    length (:func:`~glme.lmoments.gumbel_lmoment_cov`), is minimized by
+    Levenberg-Marquardt steps (see :func:`_levenberg_marquardt`);
+    ``iterations`` counts the evaluations of the equations.  The fit is
+    deterministic, and it needs at least ``COV_MIN_N`` observations.
     """
     z = np.asarray(z, dtype=float)
+    if z.size < COV_MIN_N:
+        raise SampleSizeError(
+            f"fit_ns_glme needs at least {COV_MIN_N} observations for the Gumbel "
+            f"L-moment covariance, got {z.size}")
     if lme is None:
         lme = fit_ns_lme(z, X, location_method=location_method, refine=refine)
     if isinstance(penalty, AdaptiveBetaRequest):
@@ -547,7 +558,7 @@ def fit_ns_glme(
     cov = lme.model.covariates
     mu_slopes, sig_slopes = lme.model.mu_coef[1:], lme.model.sigma_coef[1:]
     evaluate = _lmoment_system(z, cov, mu_slopes, sig_slopes)
-    vtilde = gumbel_lmoment_cov(z.size, B=B, seed=seed)
+    vtilde = gumbel_lmoment_cov(z.size)
     const = _objective_const(vtilde)
     l_inv = vtilde.whiten(np.eye(3))
 

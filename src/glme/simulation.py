@@ -65,6 +65,7 @@ class SimCell:
     mu: float = 100.0
     sigma: float = 30.0
     ns_coef: tuple = (0.0, -0.1, 1.0, 0.02)
+    # the stationary covariance; gev11 cells weight by the exact Gumbel one
     cov_method: str = "bootstrap"
     B: int = 500
 
@@ -122,8 +123,8 @@ def _estimate_stationary(spec: MethodSpec, x, cell: SimCell, seed: int, memo: di
     return return_level(fit.params, cell.T)
 
 
-def _estimate_ns(spec: MethodSpec, z, X, cell: SimCell, seed: int, memo: dict) -> float:
-    fit = spec.fit_ns(z, X, B=cell.B, seed=seed, memo=memo)
+def _estimate_ns(spec: MethodSpec, z, X, cell: SimCell, memo: dict) -> float:
+    fit = spec.fit_ns(z, X, memo=memo)
     return ns_return_level(fit.model, cell.T, cell.n - 1)
 
 
@@ -167,7 +168,7 @@ def _run_trials(cell: SimCell, lo: int, hi: int) -> tuple[dict, dict]:
                     r = (
                         _estimate_stationary(spec, data, cell, seed, memo)
                         if cell.scenario == "stationary"
-                        else _estimate_ns(spec, *args, cell, seed, memo)
+                        else _estimate_ns(spec, *args, cell, memo)
                     )
                 estimates[name].append(r)
             except FIT_FAILURES:

@@ -1,7 +1,7 @@
 """Independent slow oracles the fast library code is checked against.
 
 Everything here evaluates definitions directly (subset enumeration,
-adaptive quadrature, bisection) and deliberately shares no code with the
+adaptive quadrature, bisection, plain Monte Carlo) and deliberately shares no code with the
 package internals.  The exceptions are ``likelihood_fit_nelder_mead``,
 ``glme_fit_nelder_mead``, ``ns_lme_nelder_mead`` and
 ``ns_glme_nelder_mead``, references for the *searches* of the
@@ -15,7 +15,7 @@ from itertools import combinations
 from math import comb
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import dblquad, quad
 
 
 def lmoments_brute_force(x, order=3):
@@ -102,6 +102,47 @@ def gev_population_lmoments_quadrature(mu, sigma, xi):
     e23 = gev_order_statistic_mean(mu, sigma, xi, 2, 3)
     e33 = gev_order_statistic_mean(mu, sigma, xi, 3, 3)
     return np.array([e11, (e22 - e12) / 2.0, (e33 - 2.0 * e23 + e13) / 3.0])
+
+
+def gumbel_lmoment_cov_bootstrap(n, B, seed):
+    """Covariance of the sample L-moments (l1, l2, l3) of standard Gumbel
+    samples of size n by parametric bootstrap, and its Monte Carlo standard
+    error, entry by entry.
+
+    B seeded samples, one L-moment triple each from the order statistics'
+    PWM weights; the covariance is the empirical one (ddof 1), and the
+    standard error of each entry is the standard deviation of the centred
+    products over sqrt(B).
+    """
+    rng = np.random.default_rng(seed)
+    u = np.maximum(rng.random((B, n)), 1e-15)
+    xs = np.sort(-np.log(-np.log(u)), axis=1)
+    i = np.arange(n, dtype=float)
+    b0 = xs.mean(axis=1)
+    b1 = xs @ (i / (n - 1)) / n
+    b2 = xs @ (i * (i - 1) / ((n - 1) * (n - 2))) / n
+    d = np.column_stack([b0, 2.0 * b1 - b0, 6.0 * b2 - 6.0 * b1 + b0])
+    d -= d.mean(axis=0)
+    products = d[:, :, None] * d[:, None, :]
+    return products.sum(axis=0) / (B - 1), products.std(axis=0) / math.sqrt(B)
+
+
+def gumbel_max_cov_quadrature(a, b, c, eps=1e-12):
+    """Cov(M_a, M_b) for the maxima of a and b standard Gumbel variables
+    that share c of them, by 2-D quadrature of Hoeffding's identity
+    ``Cov = int int P(M_a <= x, M_b <= y) - P(M_a <= x) P(M_b <= y) dx dy``.
+
+    In the uniform coordinates ``u = G(x)``, ``v = G(y)`` of the Gumbel CDF
+    ``G`` the joint CDF is ``min(u, v)^c u^(a-c) v^(b-c)`` and
+    ``dx = du / (-u log u)``; the integral is split at the kink u = v.
+    """
+    def integrand(v, u):
+        joint = min(u, v) ** c * u ** (a - c) * v ** (b - c)
+        return (joint - u ** a * v ** b) / (u * math.log(u) * v * math.log(v))
+
+    below, _ = dblquad(integrand, 0.0, 1.0, 0.0, lambda u: u, epsabs=eps, epsrel=10 * eps)
+    above, _ = dblquad(integrand, 0.0, 1.0, lambda u: u, 1.0, epsabs=eps, epsrel=10 * eps)
+    return below + above
 
 
 def quantile_by_bisection(cdf, p, lo, hi, tol=1e-12, max_iter=200):

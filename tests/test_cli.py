@@ -184,6 +184,14 @@ class TestFitNs:
             "lme     47.108  0.590  2.166    0.008    -0.168  161  182   205\n"
         )
 
+    @pytest.mark.parametrize("flag", [["--cov", "exact"], ["--cov-b", "200"]])
+    def test_covariance_flags_are_usage_errors(self, trend_csv, flag, capsys):
+        # the trend objective's covariance is exact, so fit-ns takes neither
+        with pytest.raises(SystemExit) as exc:
+            main(["fit-ns", trend_csv, "--method", "glme.b.c5", *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_missing_time_information(self, tmp_path, capsys):
         p = tmp_path / "laneless.csv"
         p.write_text("value\n1.0\n2.0\n3.0\n4.0\n5.0\n6.0\n")
@@ -255,10 +263,13 @@ class TestSimulate:
     # sha256 of the CSV on both default grids, recorded when gamma and the
     # beta function moved from scipy.special to the math module (last-bit
     # moves; the same n_failures in every row); a change that moves these
-    # numbers on purpose records new digests and says why
+    # numbers on purpose records new digests and says why.  gev11 moved
+    # again when the trend glme objective's Gumbel L-moment covariance went
+    # from a seeded bootstrap to the exact closed form (glme rows only; the
+    # same n_failures in every row)
     GRID_DIGESTS = {
         "stationary": "b0c3740b7292218893c2b1e4ae35b47e01643f7d06125871430ba4cfea9666f3",
-        "gev11": "1b57fed167ee2d1c7b395870797b07f7848a4ba7e82a3ae325007635b30faabd",
+        "gev11": "5e5dfcc606e8e4a776703569da15c570c7ebf84f4787f836a64de352d3b7bd44",
     }
 
     @pytest.mark.parametrize("scenario", GRID_DIGESTS)
@@ -423,7 +434,8 @@ class TestParserCache:
             build_parser.cache_clear()
             fresh.append(call(argv))
         assert shared == fresh
-        assert [c for c, _, _ in shared] == [0, 0, 0, 2, 0, 0, 1, 0, 0, 0, 0]
+        # fit-ns and returns reject the config's cov-b, which only fit takes
+        assert [c for c, _, _ in shared] == [0, 0, 0, 2, 1, 0, 1, 0, 0, 0, 0]
 
 
 class TestEntryPoint:

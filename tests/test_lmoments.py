@@ -10,6 +10,8 @@ from glme.errors import DegenerateDataError, SampleSizeError
 from glme.estimators import _GLME_GRID, _XI_HI, _XI_LO
 from glme.gev import XI_EPS, GevParams, gev_sample
 from glme.lmoments import (
+    _GUMBEL_PWM_ZETA,
+    COV_MIN_N,
     GUMBEL_LMOMENTS,
     CovMatrix3,
     _lmoments_from_sorted,
@@ -22,7 +24,12 @@ from glme.lmoments import (
     sample_lmoments,
 )
 
-from _oracles import gev_population_lmoments_quadrature, lmoments_brute_force
+from _oracles import (
+    gev_population_lmoments_quadrature,
+    gumbel_lmoment_cov_bootstrap,
+    gumbel_max_cov_quadrature,
+    lmoments_brute_force,
+)
 
 
 class TestSampleLmoments:
@@ -242,10 +249,38 @@ class TestLmomentCov:
         assert lmoment_cov(x, method="exact").source == "exact"
 
     def test_gumbel_cov_deterministic_and_positive(self):
-        a = gumbel_lmoment_cov(40, B=500, seed=3)
-        b = gumbel_lmoment_cov(40, B=500, seed=3)
+        a = gumbel_lmoment_cov(40)
+        b = gumbel_lmoment_cov(40)
         np.testing.assert_array_equal(a.entries, b.entries)
         assert a.min_eigenvalue > 0
+
+
+class TestGumbelLmomentCov:
+    """The closed-form covariance of standard Gumbel sample L-moments."""
+
+    @pytest.mark.parametrize("n", [10, 40, 66])
+    def test_matches_parametric_bootstrap(self, n):
+        boot, se = gumbel_lmoment_cov_bootstrap(n, B=40_000, seed=n)
+        v = gumbel_lmoment_cov(n)
+        assert v.source == "exact"
+        # every entry within 5 Monte Carlo standard errors of the bootstrap
+        assert np.max(np.abs(v.entries - boot) / se) < 5.0
+
+    @pytest.mark.parametrize("k, m", list(_GUMBEL_PWM_ZETA))
+    def test_constants_match_quadrature(self, k, m):
+        a, b = k + 1, m + 1
+        for c, zeta in enumerate(_GUMBEL_PWM_ZETA[k, m], start=1):
+            assert abs(gumbel_max_cov_quadrature(a, b, c) / (a * b) - zeta) <= 1e-10
+
+    def test_constants_with_known_closed_forms(self):
+        # the variance of a Gumbel maximum is pi^2/6 whatever its size
+        assert _GUMBEL_PWM_ZETA[0, 0][0] == pytest.approx(math.pi ** 2 / 6, rel=1e-15)
+        assert _GUMBEL_PWM_ZETA[1, 1][1] == pytest.approx(math.pi ** 2 / 24, rel=1e-15)
+        assert _GUMBEL_PWM_ZETA[2, 2][2] == pytest.approx(math.pi ** 2 / 54, rel=1e-15)
+
+    def test_positive_definite_for_every_size(self):
+        for n in range(COV_MIN_N, 501):
+            assert gumbel_lmoment_cov(n).min_eigenvalue > 0, n
 
 
 class TestCovMatrix3:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from glme import nonstationary
 from glme.errors import (
     FIT_FAILURES,
     ConvergenceError,
@@ -14,10 +15,11 @@ from glme.errors import (
     SampleSizeError,
 )
 from glme.gev import GevParams, gev_sample, return_level
+from glme.lmoments import COV_MIN_N
 from glme.methods import MethodSpec, parse_method
 from glme.nonstationary import NsModel, gev11_design, ns_return_level, ns_sample
 from glme.penalties import FlatPenalty
-from glme.simulation import DEFAULT_GEV11_METHODS, DEFAULT_STATIONARY_METHODS
+from glme.simulation import DEFAULT_GEV11_METHODS, DEFAULT_STATIONARY_METHODS, SimCell
 
 
 @pytest.mark.parametrize(
@@ -132,7 +134,7 @@ class TestEdgeCorpus:
         X = gev11_design(z.size)
 
         def fit(spec, memo):
-            model = spec.fit_ns(z, X, B=200, seed=1, memo=memo).model
+            model = spec.fit_ns(z, X, memo=memo).model
             return ns_return_level(model, 100.0, z.size - 1)
 
         alone, shared = _outcomes(TREND_METHODS, fit)
@@ -191,9 +193,20 @@ class TestMinimumSize:
 
         def fit(n):
             X = gev11_design(n)
-            return spec.fit_ns(ns_sample(NsModel([0.0, -0.1], [1.0, 0.02], -0.2, X), 3), X,
-                               B=50)
+            return spec.fit_ns(ns_sample(NsModel([0.0, -0.1], [1.0, 0.02], -0.2, X), 3), X)
 
         with pytest.raises(SampleSizeError):
             fit(spec.min_n - 1)
         assert fit(spec.min_n).converged
+
+    def test_trend_glme_checks_the_size_first(self, monkeypatch):
+        """``fit_ns_glme`` refuses a 9-point series before any stage runs,
+        naming itself and the covariance's minimum."""
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the trend L-moment fit ran")
+
+        monkeypatch.setattr(nonstationary, "fit_ns_lme", must_not_run)
+        model = SimCell("gev11", -0.3, 9).truth_model()
+        with pytest.raises(SampleSizeError, match=f"fit_ns_glme needs at least {COV_MIN_N} "):
+            parse_method("glme.n.c3").fit_ns(ns_sample(model, 3), model.covariates)

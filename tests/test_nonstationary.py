@@ -222,7 +222,7 @@ class TestFitNsGlme:
         truth = NsModel([0.0, -0.1], [1.0, 0.02], -0.2, X)
         z = ns_sample(truth, seed=9)
         lme = fit_ns_lme(z, X).model
-        flat = fit_ns_glme(z, X, FlatPenalty(), seed=9).model
+        flat = fit_ns_glme(z, X, FlatPenalty()).model
         assert flat.mu_coef[0] == pytest.approx(lme.mu_coef[0], abs=1e-5)
         assert flat.sigma_coef[0] == pytest.approx(lme.sigma_coef[0], abs=1e-5)
         assert flat.xi == pytest.approx(lme.xi, abs=1e-5)
@@ -233,7 +233,7 @@ class TestFitNsGlme:
         z = ns_sample(truth, seed=18)
         lme = fit_ns_lme(z, X).model
         assert lme.xi < 0
-        glme = fit_ns_glme(z, X, AdaptiveBetaRequest(5), seed=18).model
+        glme = fit_ns_glme(z, X, AdaptiveBetaRequest(5)).model
         assert glme.xi < lme.xi
 
     def test_objective_descends_from_lme_point(self):
@@ -241,11 +241,11 @@ class TestFitNsGlme:
         truth = NsModel([0.0, -0.1], [1.0, 0.02], -0.3, X)
         z = ns_sample(truth, seed=18)
         penalty = AdaptiveBetaRequest(5)
-        glme = fit_ns_glme(z, X, penalty, seed=18)
+        glme = fit_ns_glme(z, X, penalty)
         lme = fit_ns_lme(z, X)
         built = penalty.build(lme.model.xi)
         # evaluate the glme objective at the lme solution
-        vtilde = gumbel_lmoment_cov(z.size, B=1000, seed=18)
+        vtilde = gumbel_lmoment_cov(z.size)
         const = 1.5 * math.log(2.0 * math.pi) + 0.5 * vtilde.log_det
         evaluate = _lmoment_system(
             z, X.astype(float), lme.model.mu_coef[1:], lme.model.sigma_coef[1:]
@@ -259,7 +259,7 @@ class TestFitNsGlme:
         truth = NsModel([0.0, -0.1], [1.0, 0.02], -0.3, X)
         z = ns_sample(truth, seed=18)
         lme = fit_ns_lme(z, X).model
-        glme = fit_ns_glme(z, X, AdaptiveBetaRequest(5), seed=18).model
+        glme = fit_ns_glme(z, X, AdaptiveBetaRequest(5)).model
         assert glme.mu_coef[1] == lme.mu_coef[1]
         assert glme.sigma_coef[1] == lme.sigma_coef[1]
 
@@ -287,7 +287,7 @@ class TestGivenLmeFit:
         model = SimCell("gev11", -0.3, 40).truth_model()
         z, X = ns_sample(model, 18), model.covariates
         penalty = parse_method(name).penalty
-        kw = dict(B=200, seed=5, location_method=location, refine=refine)
+        kw = dict(location_method=location, refine=refine)
         lme = fit_ns_lme(z, X, location_method=location, refine=refine)
         _assert_same_fit(fit_ns_glme(z, X, penalty, lme=lme, **kw),
                          fit_ns_glme(z, X, penalty, **kw))
@@ -330,7 +330,7 @@ class TestRainfallSeries:
         assert ns_return_level(m, 100.0, m.n_obs - 1) == pytest.approx(478.0, rel=0.01)
 
     def test_adaptive_choice_five_row(self, phliu):
-        fit = fit_ns_glme(phliu.values, phliu.time_design(), AdaptiveBetaRequest(5), seed=42)
+        fit = fit_ns_glme(phliu.values, phliu.time_design(), AdaptiveBetaRequest(5))
         m = fit.model
         assert m.xi == pytest.approx(-0.11, abs=0.015)
         assert ns_return_level(m, 100.0, m.n_obs - 1) == pytest.approx(517.0, rel=0.015)
@@ -339,7 +339,7 @@ class TestRainfallSeries:
         # a lower shape with identical slopes lifts the whole curve
         z, X = phliu.values, phliu.time_design()
         lme = fit_ns_lme(z, X).model
-        glme = fit_ns_glme(z, X, AdaptiveBetaRequest(5), seed=42).model
+        glme = fit_ns_glme(z, X, AdaptiveBetaRequest(5)).model
         for t in range(lme.n_obs):
             assert ns_return_level(glme, 40.0, t) > ns_return_level(lme, 40.0, t)
 
@@ -525,9 +525,9 @@ class TestFinalStageAgainstNelderMead:
             penalty = parse_method(name).penalty
             if isinstance(penalty, AdaptiveBetaRequest):
                 penalty = penalty.build(lme.model.xi)
-            fit = fit_ns_glme(z, X, penalty, B=500, location_method=location)
+            fit = fit_ns_glme(z, X, penalty, location_method=location)
             _, ref_fun = ns_glme_nelder_mead(
-                z, lme.model, penalty, 1.0, gumbel_lmoment_cov(n, B=500, seed=0)
+                z, lme.model, penalty, 1.0, gumbel_lmoment_cov(n)
             )
             case = f"n={n} xi={xi}"
             if ref_fun < SENTINEL and fit.objective_value > ref_fun + 1e-9:
