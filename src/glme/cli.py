@@ -2,7 +2,8 @@
 
 Subcommands: fit, fit-ns, simulate, profile, trend, returns.  Standard
 output stays machine-clean in csv/json modes and is byte-deterministic
-given the input file, options and seed; progress goes to standard error.
+given the input file and options (for simulate, its seed among them);
+progress goes to standard error.
 
 Exit codes: 0 success, 1 input error, 2 non-convergence, 3 numerical
 failure.
@@ -35,7 +36,6 @@ EXIT_NUMERIC = 3
 
 
 def _common_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--seed", type=int, default=42, help="random seed (default 42)")
     parser.add_argument(
         "--format",
         choices=("table", "csv", "json"),
@@ -72,15 +72,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p = registry["fit"] = subparsers.add_parser("fit", help="fit a stationary GEV model")
     _fit_flags(p)
-    # fit-ns takes neither: the trend objective's covariance is exact
+    # fit-ns does not take it: the trend objective's covariance is exact
     p.add_argument(
         "--cov",
         choices=("bootstrap", "exact"),
         default="bootstrap",
-        help="L-moment covariance estimator (default bootstrap)",
-    )
-    p.add_argument(
-        "--cov-b", type=int, default=1000, help="bootstrap resamples for the covariance"
+        help="L-moment covariance estimator (default bootstrap, computed exactly)",
     )
     p.add_argument(
         "--method",
@@ -125,13 +122,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--T", type=float, default=100.0, help="return period (default 100)")
     p.add_argument(
         "--cov", choices=("bootstrap", "exact"), default="bootstrap",
-        help="covariance estimator inside each trial",
+        help="stationary covariance estimator inside each trial; gev11 cells use the "
+             "exact Gumbel covariance",
     )
-    p.add_argument(
-        "--cov-b", type=int, default=500,
-        help="bootstrap resamples per trial of the stationary covariance; gev11 cells "
-             "use the exact Gumbel covariance (default 500)",
-    )
+    p.add_argument("--seed", type=int, default=42, help="base trial seed (default 42)")
     p.add_argument(
         "--jobs", type=int, default=1,
         help="worker processes; each cell's trials are spread across them (default 1)",
@@ -148,7 +142,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument(
         "--grid", default="-0.9:0.3:61", help="shape grid lo:hi:count (default -0.9:0.3:61)"
     )
-    p.add_argument("--cov-b", type=int, default=1000)
     _common_flags(p)
 
     p = registry["trend"] = subparsers.add_parser("trend", help="Mann-Kendall trend test")
@@ -242,8 +235,7 @@ def _cmd_fit(args, out) -> int:
     ds = read_dataset(args.data)
     spec = parse_method(args.method, args.penalty)
     periods = _parse_float_list(args.return_periods, "return period")
-    fit = spec.fit_stationary(ds.values, cov_method=args.cov, B=args.cov_b,
-                              seed=args.seed, alpha_n=args.alpha_n)
+    fit = spec.fit_stationary(ds.values, cov_method=args.cov, alpha_n=args.alpha_n)
     levels = {T: return_level(fit.params, T) for T in periods}
 
     if args.fmt == "json":
@@ -258,7 +250,6 @@ def _cmd_fit(args, out) -> int:
                 "iterations": fit.iterations,
                 "alpha_n": fit.alpha_n,
                 "return_levels": {f"{T:g}": levels[T] for T in periods},
-                "seed": args.seed,
             },
             out,
         )
@@ -341,7 +332,6 @@ def _cmd_fit_ns(args, out) -> int:
                 "iterations": fit.iterations,
                 "objective_value": fit.objective_value,
                 "return_levels_end_of_sample": {f"{T:g}": levels[T] for T in periods},
-                "seed": args.seed,
             },
             out,
         )
@@ -384,7 +374,6 @@ def _cmd_simulate(args, out) -> int:
         base_seed=args.seed,
         T=args.T,
         cov_method=args.cov,
-        B=args.cov_b,
         jobs=args.jobs,
         progress=progress,
     )
@@ -429,10 +418,7 @@ def _cmd_profile(args, out) -> int:
     for name in method_names:
         spec = parse_method(name)
         kind = "mle" if spec.kind in ("mle", "gmle") else "glme"
-        points = profile_xi(
-            ds.values, method=kind, penalty=spec.penalty, grid=grid,
-            B=args.cov_b, seed=args.seed,
-        )
+        points = profile_xi(ds.values, method=kind, penalty=spec.penalty, grid=grid)
         curves.append((name, points))
 
     if args.fmt == "json":

@@ -10,8 +10,9 @@ Four estimators share one interface:
 * ``fit_gmle``: likelihood plus a penalty on the shape; shares its
   objective and solver with ``fit_mle`` (a flat penalty adds exactly 0).
 * ``fit_glme``: minimizes a quadratic L-moment distance, weighted by the
-  bootstrap covariance of the sample L-moments and interpreted through a
-  trivariate-normal approximation, plus a weighted penalty on the shape.
+  exact bootstrap covariance of the sample L-moments (or the unbiased
+  closed form) and interpreted through a trivariate-normal approximation,
+  plus a weighted penalty on the shape.
   For a fixed shape the GEV L-moments are linear in location and scale, so
   both are profiled out in closed form (a 2x2 weighted least-squares
   solve) and only the shape is searched: a fixed grid, then bounded Brent.
@@ -634,17 +635,17 @@ def fit_glme(
     penalty=FlatPenalty(),
     alpha_n: float = 1.0,
     cov_method: str = "bootstrap",
-    B: int = 1000,
-    seed: int = 0,
     V: CovMatrix3 | None = None,
     lme: FitResult | None = None,
 ) -> FitResult:
     """Penalty-weighted L-moment fit.
 
-    The covariance ``V`` is estimated once from the observed sample, unless
-    given, and held fixed.  An :class:`AdaptiveBetaRequest` penalty is built
-    from the shape of ``lme``, the :func:`fit_lme` fit of the same sample,
-    which is computed here when not given.  Location and scale are profiled
+    The covariance ``V`` is computed once from the observed sample by
+    :func:`lmoment_cov` with ``cov_method``, unless given, and held fixed;
+    it is deterministic, so the fit takes no seed.  An
+    :class:`AdaptiveBetaRequest` penalty is built from the shape of ``lme``,
+    the :func:`fit_lme` fit of the same sample, which is computed here when
+    not given.  Location and scale are profiled
     out in closed form (see :func:`_glme_profile`); the shape is searched on a
     fixed grid of 81 points over the box (-1, 1), narrowed to the
     penalty's support when the penalty is in force, then refined by bounded
@@ -655,7 +656,7 @@ def fit_glme(
     if isinstance(penalty, AdaptiveBetaRequest):
         penalty = penalty.build((lme if lme is not None else fit_lme(arr)).params.xi)
     if V is None:
-        V = lmoment_cov(arr, method=cov_method, B=B, seed=seed)
+        V = lmoment_cov(arr, method=cov_method)
     l = sample_lmoments(arr)
     const = _objective_const(V)
     profile = _glme_profile(l, V, const, penalty, alpha_n)
@@ -689,15 +690,14 @@ def profile_xi(
     penalty=FlatPenalty(),
     grid=None,
     alpha_n: float = 1.0,
-    B: int = 1000,
-    seed: int = 0,
 ) -> list[ProfilePoint]:
     """Profile curve over the shape: the negated objective maximized over
     (location, scale) at each grid value.
 
     For ``lme``/``glme`` the maximum is exact: location and scale come from
     the closed-form weighted least-squares profile that ``fit_glme``
-    searches, evaluated on the whole grid at once.  For ``mle``/``gmle``,
+    searches, weighted by the default (exact bootstrap) covariance and
+    evaluated on the whole grid at once.  For ``mle``/``gmle``,
     whose (location, scale) profile has no closed form, the likelihood
     fits' damped Newton solver runs over (location, scale) at each grid
     value, from the default start with its scale widened until every
@@ -719,7 +719,7 @@ def profile_xi(
         penalty = penalty.build(lme.params.xi)
 
     if method in ("lme", "glme"):
-        V = lmoment_cov(arr, B=B, seed=seed)
+        V = lmoment_cov(arr)
         profile = _glme_profile(sample_lmoments(arr), V, _objective_const(V), penalty, alpha_n)
         values = profile(grid)[2]
         return [ProfilePoint(float(xi), -float(v), bool(v < SENTINEL))

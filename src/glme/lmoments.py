@@ -4,13 +4,13 @@ generalized L-moment distance.
 Sample L-moments are the direct unbiased estimators, computed through
 probability-weighted moments of the order statistics in O(n log n).  Two
 estimators of the covariance matrix of the first three sample L-moments
-of a data sample are provided: a seeded nonparametric bootstrap (the
-default) and the distribution-free unbiased closed form, which falls back
-to the bootstrap on the rare samples where it is not positive definite.
-Near-singular estimates are ridge-regularized so the quadratic distance
-below is always well defined.  For standard Gumbel samples, which the
-trend model's objective uses, the covariance is known exactly for every
-sample size and is computed in closed form.
+of a data sample are provided: the nonparametric bootstrap (the default),
+computed exactly as its limit over infinitely many resamples, and the
+distribution-free unbiased closed form, which falls back to the bootstrap
+on the rare samples where it is not positive definite.  Near-singular
+estimates are ridge-regularized so the quadratic distance below is always
+well defined.  For standard Gumbel samples, which the trend model's
+objective uses, the covariance is known exactly for every sample size.
 """
 
 from __future__ import annotations
@@ -19,9 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-# loaded here, once, rather than lazily on the first default_rng call
-# (lmoment_cov's bootstrap), so a forked worker does not pay for it
-from numpy.random import default_rng
 
 from .errors import DegenerateDataError, SampleSizeError
 from .gev import XI_EPS, GevParams
@@ -260,18 +257,6 @@ def _regularize(v: np.ndarray) -> tuple[np.ndarray, bool]:
     return v, False
 
 
-def _falling(a: np.ndarray, b: int) -> np.ndarray:
-    """Elementwise falling factorial a*(a-1)*...*(a-b+1); 0 when a < b."""
-    a = np.asarray(a, dtype=float)
-    if b == 0:
-        return np.ones_like(a)
-    out = np.ones_like(a)
-    for t in range(b):
-        out = out * (a - t)
-    out[a < b] = 0.0
-    return out
-
-
 def _exact_cov_matrix(xs: np.ndarray) -> np.ndarray:
     """Distribution-free unbiased estimate of Cov(l_r, l_s), r, s <= 3.
 
@@ -283,36 +268,78 @@ def _exact_cov_matrix(xs: np.ndarray) -> np.ndarray:
         theta_km = sum_{i<j} x_(i) x_(j) [ (i-1)_k (j-2-k)_m
                                          + (i-1)_m (j-2-m)_k ] / (n)_{k+m+2}
 
-    with (a)_b the falling factorial.  The result is unbiased but not
+    with (a)_b the falling factorial, 0 when a < b: one cumulative sum and
+    one stacked matrix product.  The estimate does not change when the
+    sample is shifted, so it is computed on the centred sample, where
+    ``b_k*b_m - theta_km`` cancels least.  The result is unbiased but not
     guaranteed positive definite in finite samples.
     """
     n = xs.size
-    i = np.arange(1, n + 1)
-    b = _pwm_from_sorted(xs, 3)
-
-    def pair_sum(k: int, m: int) -> float:
-        f = _falling(i - 1, k) * xs
-        g = _falling(i - 2 - k, m) * xs
-        below = np.concatenate(([0.0], np.cumsum(f)[:-1]))
-        return float(np.sum(g * below))
-
-    cov_b = np.empty((3, 3))
-    for k in range(3):
-        for m in range(k, 3):
-            scale = 1.0
-            for t in range(k + m + 2):
-                scale *= n - t
-            theta = (pair_sum(k, m) + pair_sum(m, k)) / scale
-            cov_b[k, m] = cov_b[m, k] = b[k] * b[m] - theta
+    xs = xs - xs.mean()
+    # fall[b, s, r] = (r - s)_b for ranks r = i - 1 = 0..n-1: a product of
+    # factors clipped at 0, which vanishes when r - s < b
+    shifted = np.maximum(np.arange(n, dtype=float) - np.arange(4.0)[:, None], 0.0)
+    fall = np.stack([np.ones_like(shifted), shifted, shifted * np.maximum(shifted - 1.0, 0.0)])
+    f = fall[:, 0] * xs  # f[k, i] = (i-1)_k x_(i)
+    below = np.zeros_like(f)
+    np.cumsum(f[:, :-1], axis=1, out=below[:, 1:])  # below[k, j] = sum_{i<j} f[k, i]
+    # pair[k, m] = sum_j (j-2-k)_m x_(j) below[k, j]
+    pair = (fall[:, 1:].transpose(1, 0, 2) @ (below * xs)[:, :, None])[..., 0]
+    scale = np.array([[math.perm(n, k + m + 2) for m in range(3)] for k in range(3)], dtype=float)
+    b = np.array(_pwm_from_sorted(xs, 3))
+    cov_b = np.outer(b, b) - (pair + pair.T) / scale
     v = _PWM_TO_LMOMENTS @ cov_b @ _PWM_TO_LMOMENTS.T
     return (v + v.T) / 2.0
 
 
-def lmoment_cov(x, method: str = "bootstrap", B: int = 1000, seed: int = 0) -> CovMatrix3:
+def _bootstrap_pwm_zeta(xs: np.ndarray) -> dict:
+    """The counterpart of ``_GUMBEL_PWM_ZETA`` under the empirical
+    distribution F_n of the sorted sample ``xs``.
+
+    F_n is p_i = i/n on the gap d_i = x_(i+1) - x_(i), so by Hoeffding's
+    identity the maxima of a and b draws from F_n that share c of them have
+    Cov(M_a, M_b) = sum_{i<=j} d_i d_j p_i^a p_j^(b-c)
+    + sum_{j<i} d_i d_j p_i^(a-c) p_j^b - (sum_i d_i p_i^a)(sum_j d_j p_j^b),
+    whose double sums are cumulative sums: O(n) in all.
+    """
+    n = xs.size
+    w = np.diff(xs) * (np.arange(1, n) / n) ** np.arange(4)[:, None]  # w[e, i] = d_i p_i^e
+    cum = np.zeros((3, n))
+    np.cumsum(w[1:], axis=1, out=cum[:, 1:])  # cum[a-1, j] = sum_{i<j} d_i p_i^a
+    upto = (w @ cum[:, 1:].T).tolist()  # upto[e][a-1] = sum_{i<=j} d_i p_i^a d_j p_j^e
+    before = (w @ cum[:, :-1].T).tolist()  # before[e][b-1] = sum_{j<i} d_j p_j^b d_i p_i^e
+    total = cum[:, -1].tolist()
+    return {(k, m): tuple((upto[m + 1 - c][k] + before[k + 1 - c][m] - total[k] * total[m])
+                          / ((k + 1) * (m + 1)) for c in range(1, k + 2))
+            for k, m in _GUMBEL_PWM_ZETA}
+
+
+def _pwm_u_statistic_cov(n: int, zeta: dict) -> np.ndarray:
+    """Covariance of the first three sample L-moments of n iid draws.
+
+    The sample PWM ``b_k`` is a U-statistic of degree ``a = k + 1`` with
+    kernel ``max(X_1..X_a) / a``, so Hoeffding's (1948) covariance of
+    U-statistics gives, for ``a <= b = m + 1``, ``Cov(b_k, b_m) = sum_{c=1..a}
+    C(b, c) C(n-b, a-c) / C(n, a) * zeta[k, m][c - 1]``, where ``zeta[k, m][c - 1]``
+    is ``Cov(M_a, M_b) / (a b)`` for maxima of a and b draws that share c.
+    The L-moment covariance is ``A Cov(b) A'`` (Elamir & Seheult 2004).
+    """
+    cov_b = np.empty((3, 3))
+    for (k, m), z in zeta.items():
+        a, b = k + 1, m + 1
+        total = sum(math.comb(b, c) * math.comb(n - b, a - c) * zc for c, zc in enumerate(z, 1))
+        cov_b[k, m] = cov_b[m, k] = total / math.comb(n, a)
+    v = _PWM_TO_LMOMENTS @ cov_b @ _PWM_TO_LMOMENTS.T
+    return (v + v.T) / 2.0
+
+
+def lmoment_cov(x, method: str = "bootstrap") -> CovMatrix3:
     """Covariance matrix of the first three sample L-moments.
 
-    ``method="bootstrap"`` (default): B seeded resamples with replacement,
-    one L-moment triple per resample, empirical covariance of the triples.
+    ``method="bootstrap"`` (default): the covariance of the L-moments of a
+    resample drawn with replacement from ``x``, computed exactly (the limit
+    of a Monte Carlo bootstrap as the number of resamples grows; Hutson &
+    Ernst 2000), so it is deterministic and carries no resampling noise.
     ``method="exact"``: the closed-form unbiased estimator; on the rare
     samples where it is not positive definite the bootstrap is used
     instead.
@@ -329,19 +356,15 @@ def lmoment_cov(x, method: str = "bootstrap", B: int = 1000, seed: int = 0) -> C
     if method not in ("bootstrap", "exact"):
         raise ValueError(f"unknown covariance method {method!r}")
 
+    xs = np.sort(arr)
     if method == "exact":
-        v = _exact_cov_matrix(np.sort(arr))
+        v = _exact_cov_matrix(xs)
         if np.linalg.eigvalsh(v)[0] > 1e-10 * np.trace(v) / 3.0:
             return CovMatrix3(v, "exact")
         # fall through to the bootstrap when the unbiased estimate is
         # numerically singular or indefinite
 
-    rng = default_rng(seed)
-    idx = rng.integers(0, n, size=(int(B), n))
-    triples = _lmoments_from_sorted(np.sort(arr[idx], axis=1), 3)
-    v = np.cov(triples, rowvar=False, ddof=1)
-    v = (v + v.T) / 2.0
-    v, ridged = _regularize(v)
+    v, ridged = _regularize(_pwm_u_statistic_cov(n, _bootstrap_pwm_zeta(xs)))
     cov = CovMatrix3(v, "regularized" if ridged else "bootstrap")
     if cov.min_eigenvalue <= 0:
         raise DegenerateDataError("covariance of bootstrap L-moments is not positive definite")
@@ -353,25 +376,12 @@ def gumbel_lmoment_cov(n: int) -> CovMatrix3:
     Gumbel sample of size n.
 
     Parameter-free, so it is held fixed while a transformed sample is fitted
-    toward the Gumbel L-moments.  The sample PWM ``b_k`` is a U-statistic of
-    degree ``a = k + 1`` with kernel ``max(X_1..X_a) / a``, so Hoeffding's
-    (1948) covariance of two U-statistics gives, for ``a <= b = m + 1``,
-
-        Cov(b_k, b_m) = sum_{c=1..a} C(b, c) C(n-b, a-c) / C(n, a) * zeta[k, m, c]
-
-    with the constants ``zeta`` of ``_GUMBEL_PWM_ZETA``; the L-moment
-    covariance is ``A Cov(b) A'`` (the finite-sample covariance of Elamir &
-    Seheult 2004, in closed form).
+    toward the Gumbel L-moments: :func:`_pwm_u_statistic_cov` of the
+    constants ``_GUMBEL_PWM_ZETA``.
     """
     if n < COV_MIN_N:
         raise SampleSizeError(f"need n >= {COV_MIN_N}, got {n}")
-    cov_b = np.empty((3, 3))
-    for (k, m), zeta in _GUMBEL_PWM_ZETA.items():
-        a, b = k + 1, m + 1
-        total = sum(math.comb(b, c) * math.comb(n - b, a - c) * z for c, z in enumerate(zeta, 1))
-        cov_b[k, m] = cov_b[m, k] = total / math.comb(n, a)
-    v = _PWM_TO_LMOMENTS @ cov_b @ _PWM_TO_LMOMENTS.T
-    return CovMatrix3((v + v.T) / 2.0, "exact")
+    return CovMatrix3(_pwm_u_statistic_cov(n, _GUMBEL_PWM_ZETA), "exact")
 
 
 def gld(lam: LMomentTriple, l: LMomentTriple, V: CovMatrix3) -> float:

@@ -53,13 +53,13 @@ class MethodSpec:
         ``FIT_MIN_N`` for the others."""
         return COV_MIN_N if self.kind == "glme" else FIT_MIN_N
 
-    def fit_stationary(self, x, cov_method: str = "bootstrap", B: int = 1000, seed: int = 0,
-                       alpha_n: float = 1.0, memo: dict | None = None):
+    def fit_stationary(self, x, cov_method: str = "bootstrap", alpha_n: float = 1.0,
+                       memo: dict | None = None):
         """Fit the sample ``x``.
 
         ``memo`` is a dict shared by the methods fitted to the same sample.
         It keeps what they have in common, the L-moment fit and the
-        covariance per ``(cov_method, B, seed)``, so each is computed at
+        covariance per ``cov_method``, so each is computed at
         most once, and only by a method that needs it.
         """
 
@@ -84,12 +84,10 @@ class MethodSpec:
         shared_lme = lme() if needs_lme else None
         V = None
         if memo is not None:
-            V = _shared(memo, ("cov", cov_method, B, seed),
-                        lambda: estimators.lmoment_cov(x, method=cov_method, B=B, seed=seed))
-        return estimators.fit_glme(
-            x, self.penalty, alpha_n=alpha_n, cov_method=cov_method, B=B, seed=seed, V=V,
-            lme=shared_lme,
-        )
+            V = _shared(memo, ("cov", cov_method),
+                        lambda: estimators.lmoment_cov(x, method=cov_method))
+        return estimators.fit_glme(x, self.penalty, alpha_n=alpha_n, cov_method=cov_method, V=V,
+                                   lme=shared_lme)
 
     def fit_ns(self, z, X, location_method: str = "tukey", refine: bool = False,
                alpha_n: float = 1.0, memo: dict | None = None):

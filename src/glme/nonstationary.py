@@ -217,18 +217,21 @@ def scale_regression(z, X, mu_coef) -> np.ndarray:
     zeros, which a robust location fit can produce by interpolation, are
     floored at 1e-8 times the median positive residual; nonzero residuals
     enter the log untouched so a wide dynamic range stays intact.  Raises
-    :class:`DegenerateDataError` when every residual is at most
-    ``1e-12 * max(1, median |z|)``, the tolerance under which
-    :func:`robust_location_fit` takes the fit as exact (a constant or
-    exactly linear series).
+    :class:`DegenerateDataError` when at least half the residuals are at
+    most ``1e-12 * max(1, median |z|)``, the tolerance under which
+    :func:`robust_location_fit` takes the fit as exact: a constant or
+    exactly linear series, or one with a few outliers, whose log residuals
+    would be mostly rounding noise.
     """
     z = np.asarray(z, dtype=float)
     design = _design_matrix(X, z.size)
     mu_coef = np.asarray(mu_coef, dtype=float)
     eps = np.abs(z - design @ mu_coef)
-    if np.all(eps <= 1e-12 * max(1.0, float(np.median(np.abs(z))))):
+    n_exact = np.count_nonzero(eps <= 1e-12 * max(1.0, float(np.median(np.abs(z)))))
+    if 2 * n_exact >= eps.size:
         raise DegenerateDataError(
-            "every location residual is (numerically) zero; no scale information"
+            f"{n_exact} of {eps.size} location residuals are (numerically) zero; "
+            "no scale information"
         )
     positive = eps[eps > 0]
     floor = 1e-8 * float(np.median(positive))

@@ -67,7 +67,6 @@ class SimCell:
     ns_coef: tuple = (0.0, -0.1, 1.0, 0.02)
     # the stationary covariance; gev11 cells weight by the exact Gumbel one
     cov_method: str = "bootstrap"
-    B: int = 500
 
     def __post_init__(self):
         if self.scenario not in ("stationary", "gev11"):
@@ -118,8 +117,8 @@ def metrics(estimates, truth: float) -> tuple[float, float, float]:
     return bias, se, rmse
 
 
-def _estimate_stationary(spec: MethodSpec, x, cell: SimCell, seed: int, memo: dict) -> float:
-    fit = spec.fit_stationary(x, cov_method=cell.cov_method, B=cell.B, seed=seed, memo=memo)
+def _estimate_stationary(spec: MethodSpec, x, cell: SimCell, memo: dict) -> float:
+    fit = spec.fit_stationary(x, cov_method=cell.cov_method, memo=memo)
     return return_level(fit.params, cell.T)
 
 
@@ -166,7 +165,7 @@ def _run_trials(cell: SimCell, lo: int, hi: int) -> tuple[dict, dict]:
                     r = fn(data if cell.scenario == "stationary" else args, seed)
                 else:
                     r = (
-                        _estimate_stationary(spec, data, cell, seed, memo)
+                        _estimate_stationary(spec, data, cell, memo)
                         if cell.scenario == "stationary"
                         else _estimate_ns(spec, *args, cell, memo)
                     )
@@ -221,7 +220,6 @@ def build_grid(
     base_seed: int = 0,
     T: float = 100.0,
     cov_method: str = "bootstrap",
-    B: int = 500,
 ) -> list[SimCell]:
     if xis is None:
         xis = STATIONARY_XI_GRID
@@ -246,7 +244,6 @@ def build_grid(
                     base_seed + _CELL_SEED_STRIDE * index,
                     T,
                     cov_method=cov_method,
-                    B=B,
                 )
             )
             index += 1
@@ -299,7 +296,6 @@ def run_grid(
     base_seed: int = 0,
     T: float = 100.0,
     cov_method: str = "bootstrap",
-    B: int = 500,
     jobs: int = 1,
     progress=None,
 ) -> list[SimReport]:
@@ -311,7 +307,7 @@ def run_grid(
     merged in trial order, so every report equals the serial one.
     ``progress(done, total, cell)`` is called once per cell, in cell order.
     """
-    cells = build_grid(scenario, xis, ns, methods, N, base_seed, T, cov_method, B)
+    cells = build_grid(scenario, xis, ns, methods, N, base_seed, T, cov_method)
     reports = []
     for report in map(run_cell, cells) if jobs <= 1 else _spread_trials(cells, jobs):
         reports.append(report)

@@ -11,7 +11,7 @@ brute force.
 """
 
 import math
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 import numpy as np
@@ -104,27 +104,98 @@ def gev_population_lmoments_quadrature(mu, sigma, xi):
     return np.array([e11, (e22 - e12) / 2.0, (e33 - 2.0 * e23 + e13) / 3.0])
 
 
+def _lmoment_triples(xs):
+    """(l1, l2, l3) of each sorted row of ``xs`` from the order statistics'
+    PWM weights."""
+    n = xs.shape[-1]
+    i = np.arange(n, dtype=float)
+    b0 = xs.mean(axis=-1)
+    b1 = xs @ (i / (n - 1)) / n
+    b2 = xs @ (i * (i - 1) / ((n - 1) * (n - 2))) / n
+    return np.stack([b0, 2.0 * b1 - b0, 6.0 * b2 - 6.0 * b1 + b0], axis=-1)
+
+
+def _cov_and_se(triples):
+    """Empirical covariance (ddof 1) of the rows of ``triples`` and the
+    Monte Carlo standard error of each entry: the standard deviation of
+    the centred products over sqrt(B)."""
+    B = triples.shape[0]
+    d = triples - triples.mean(axis=0)
+    products = d[:, :, None] * d[:, None, :]
+    return products.sum(axis=0) / (B - 1), products.std(axis=0) / math.sqrt(B)
+
+
 def gumbel_lmoment_cov_bootstrap(n, B, seed):
     """Covariance of the sample L-moments (l1, l2, l3) of standard Gumbel
     samples of size n by parametric bootstrap, and its Monte Carlo standard
-    error, entry by entry.
-
-    B seeded samples, one L-moment triple each from the order statistics'
-    PWM weights; the covariance is the empirical one (ddof 1), and the
-    standard error of each entry is the standard deviation of the centred
-    products over sqrt(B).
+    error, entry by entry: B seeded samples, one L-moment triple each.
     """
     rng = np.random.default_rng(seed)
     u = np.maximum(rng.random((B, n)), 1e-15)
-    xs = np.sort(-np.log(-np.log(u)), axis=1)
-    i = np.arange(n, dtype=float)
-    b0 = xs.mean(axis=1)
-    b1 = xs @ (i / (n - 1)) / n
-    b2 = xs @ (i * (i - 1) / ((n - 1) * (n - 2))) / n
-    d = np.column_stack([b0, 2.0 * b1 - b0, 6.0 * b2 - 6.0 * b1 + b0])
-    d -= d.mean(axis=0)
-    products = d[:, :, None] * d[:, None, :]
-    return products.sum(axis=0) / (B - 1), products.std(axis=0) / math.sqrt(B)
+    return _cov_and_se(_lmoment_triples(np.sort(-np.log(-np.log(u)), axis=1)))
+
+
+def lmoment_cov_bootstrap(x, B, seed):
+    """Covariance of the sample L-moments of ``x`` by Monte Carlo bootstrap,
+    and its standard error entry by entry: B seeded resamples with
+    replacement, one L-moment triple each."""
+    x = np.asarray(x, dtype=float)
+    idx = np.random.default_rng(seed).integers(0, x.size, size=(B, x.size))
+    return _cov_and_se(_lmoment_triples(np.sort(x[idx], axis=1)))
+
+
+def lmoment_cov_enumerated(x):
+    """The bootstrap covariance of the sample L-moments of ``x`` over every
+    one of the n**n equally likely resamples, enumerated as the multisets of
+    indices weighted by their multinomial counts."""
+    x = np.sort(np.asarray(x, dtype=float))
+    n = x.size
+    rows, weights = [], []
+    for multiset in combinations_with_replacement(range(n), n):
+        rows.append(x[list(multiset)])
+        counts = np.bincount(multiset, minlength=n)
+        weights.append(math.factorial(n) / math.prod(math.factorial(c) for c in counts))
+    t = _lmoment_triples(np.array(rows))
+    w = np.array(weights) / n ** n
+    d = t - w @ t
+    return (w[:, None] * d).T @ d
+
+
+def exact_cov_matrix_loops(xs):
+    """The distribution-free unbiased L-moment covariance of a sorted
+    sample, one falling-factorial loop per pair sum (see
+    ``glme.lmoments._exact_cov_matrix`` for the formula)."""
+    n = xs.size
+    i = np.arange(1, n + 1)
+
+    def falling(a, b):
+        a = np.asarray(a, dtype=float)
+        out = np.ones_like(a)
+        if b == 0:
+            return out
+        for t in range(b):
+            out = out * (a - t)
+        out[a < b] = 0.0
+        return out
+
+    def pair_sum(k, m):
+        f = falling(i - 1, k) * xs
+        g = falling(i - 2 - k, m) * xs
+        below = np.concatenate(([0.0], np.cumsum(f)[:-1]))
+        return float(np.sum(g * below))
+
+    b = [xs @ falling(i - 1, k) / (n * math.perm(n - 1, k)) for k in range(3)]
+    cov_b = np.empty((3, 3))
+    for k in range(3):
+        for m in range(k, 3):
+            scale = 1.0
+            for t in range(k + m + 2):
+                scale *= n - t
+            theta = (pair_sum(k, m) + pair_sum(m, k)) / scale
+            cov_b[k, m] = cov_b[m, k] = b[k] * b[m] - theta
+    A = np.array([[1.0, 0.0, 0.0], [-1.0, 2.0, 0.0], [1.0, -6.0, 6.0]])
+    v = A @ cov_b @ A.T
+    return (v + v.T) / 2.0
 
 
 def gumbel_max_cov_quadrature(a, b, c, eps=1e-12):

@@ -102,14 +102,14 @@ def test_criterion_3_flood_table_reproduction(flood):
         (f"lme sigma {lme.sigma:.2f} = 120.70 +-0.5%", abs(lme.sigma / 120.70 - 1) <= 0.005),
     ]
 
-    b6 = fit_glme(x, AdaptiveBetaRequest(6), cov_method="exact", seed=42).params
+    b6 = fit_glme(x, AdaptiveBetaRequest(6), cov_method="exact").params
     r100 = return_level(b6, 100.0)
     checks += [
         (f"glme.b.c6 xi {b6.xi:.4f} = -0.453 +-0.01", abs(b6.xi - (-0.453)) <= 0.01),
         (f"glme.b.c6 r100 {r100:.0f} = 1824 +-1%", abs(r100 / 1824.0 - 1) <= 0.01),
     ]
 
-    n2 = fit_glme(x, NormalPenalty.from_choice(2), cov_method="exact", seed=42).params
+    n2 = fit_glme(x, NormalPenalty.from_choice(2), cov_method="exact").params
     checks.append(
         (f"glme.n.c2 xi {n2.xi:.4f} = -0.405 +-0.01", abs(n2.xi - (-0.405)) <= 0.01)
     )
@@ -149,7 +149,7 @@ def test_criterion_5_flat_penalty_collapse():
         x = gev_sample(truth, int(rng.integers(40, 90)), seed=7000 + i)
 
         lme = fit_lme(x).params
-        flat = fit_glme(x, FlatPenalty(), seed=i).params
+        flat = fit_glme(x, FlatPenalty()).params
         scale = np.array([1.0 + abs(lme.mu), 1.0 + lme.sigma, 1.0])
         gap = np.max(np.abs(np.array(flat.as_tuple()) - np.array(lme.as_tuple())) / scale)
         worst_param = max(worst_param, float(gap))
@@ -197,7 +197,7 @@ def test_criterion_6_trend_bias_ordering():
     The criterion is asserted as stated regardless.
     """
     start = time.perf_counter()
-    cell = SimCell("gev11", -0.45, 40, ("lme", "glme.b.c1"), N=ACCEPT_N, base_seed=0, B=500)
+    cell = SimCell("gev11", -0.45, 40, ("lme", "glme.b.c1"), N=ACCEPT_N, base_seed=0)
     rep = run_cell(cell)
     lme, glme = rep.methods
     checks = _ordering_checks(f"gev11 n=40 xi=-0.45 N={ACCEPT_N}", lme, glme)
@@ -214,7 +214,7 @@ def test_criterion_7_error_decomposition_identity():
         ("stationary", 0.15, 50),
         ("gev11", -0.3, 40),
     ):
-        cell = SimCell(scenario, xi, n, ("lme", "glme.b.c1"), N=60, base_seed=11, B=300)
+        cell = SimCell(scenario, xi, n, ("lme", "glme.b.c1"), N=60, base_seed=11)
         for m in run_cell(cell).methods:
             gap = abs(m.rmse**2 - (m.bias**2 + m.se**2)) / max(m.rmse**2, 1e-300)
             checks.append(

@@ -164,6 +164,29 @@ class TestFit:
         assert glme["xi"] == pytest.approx(lme["xi"], abs=1e-6)
         assert glme["mu"] == pytest.approx(lme["mu"], abs=1e-4)
 
+    def test_json_has_no_seed(self, flood_csv, capsys):
+        _, out, _ = run_cli(["fit", flood_csv, "--format", "json"], capsys)
+        assert "seed" not in json.loads(out)
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "{flood}", "--seed", "1"],
+    ["fit", "{flood}", "--cov-b", "200"],
+    ["fit-ns", "{trend}", "--seed", "1"],
+    ["profile", "{flood}", "--seed", "1"],
+    ["profile", "{flood}", "--cov-b", "200"],
+    ["trend", "{flood}", "--seed", "1"],
+    ["returns", "--mu", "0", "--sigma", "1", "--xi", "0", "--seed", "1"],
+    ["simulate", "--cov-b", "200"],
+], ids=lambda argv: " ".join(argv[:1] + argv[-2:-1]))
+def test_no_seed_or_resample_count_outside_simulate(argv, flood_csv, trend_csv, capsys):
+    # the covariances are exact, so only simulate's samplers take a seed
+    argv = [a.format(flood=flood_csv, trend=trend_csv) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestFitNs:
     def test_fits_trend_fixture(self, trend_csv, capsys):
@@ -253,7 +276,7 @@ class TestSimulate:
 
     def test_jobs_do_not_change_bytes_over_two_cells(self, capsys):
         args = ["simulate", "--scenario", "gev11", "--xi=-0.3,0.1", "--n", "40",
-                "--methods", "lme,glme.b.c1", "--trials", "5", "--cov-b", "100", "--seed", "3"]
+                "--methods", "lme,glme.b.c1", "--trials", "5", "--seed", "3"]
         _, a, _ = run_cli(args, capsys)
         code, b, err = run_cli(args + ["--jobs", "2"], capsys)
         assert code == 0 and len(a.splitlines()) == 5
@@ -266,16 +289,19 @@ class TestSimulate:
     # numbers on purpose records new digests and says why.  gev11 moved
     # again when the trend glme objective's Gumbel L-moment covariance went
     # from a seeded bootstrap to the exact closed form (glme rows only; the
-    # same n_failures in every row)
+    # same n_failures in every row).  stationary moved again when the
+    # stationary glme covariance went from a seeded Monte Carlo bootstrap
+    # (B=100 here) to the exact bootstrap limit (glme rows only; lme and mle
+    # rows byte-identical, the same n_failures in every row)
     GRID_DIGESTS = {
-        "stationary": "b0c3740b7292218893c2b1e4ae35b47e01643f7d06125871430ba4cfea9666f3",
+        "stationary": "d9365fdce8c8d69557bb253738a9359bb4dbf849f8458b5302a592b87028584e",
         "gev11": "5e5dfcc606e8e4a776703569da15c570c7ebf84f4787f836a64de352d3b7bd44",
     }
 
     @pytest.mark.parametrize("scenario", GRID_DIGESTS)
     def test_default_grid_bytes(self, scenario, capsys):
         code, out, _ = run_cli(["simulate", "--scenario", scenario, "--trials", "5",
-                                "--cov-b", "100", "--format", "csv"], capsys)
+                                "--format", "csv"], capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.GRID_DIGESTS[scenario]
 
@@ -313,7 +339,7 @@ class TestProfile:
     def test_maxima_match_fit_estimates(self, flood_csv, capsys):
         code, out, _ = run_cli(
             ["profile", flood_csv, "--methods", "lme,glme.n.c4,glme.b.c6",
-             "--grid=-0.7:-0.2:26", "--seed", "42"],
+             "--grid=-0.7:-0.2:26"],
             capsys,
         )
         assert code == 0
@@ -369,19 +395,19 @@ class TestReturns:
 class TestConfig:
     def test_config_supplies_defaults_flags_win(self, flood_csv, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("# fit settings\nmethod=lme\nformat=json\nseed=7\n")
+        cfg.write_text("# fit settings\nmethod=lme\nformat=json\nreturn-periods=10,20\n")
         code, out, _ = run_cli(["fit", flood_csv, "--config", str(cfg)], capsys)
         assert code == 0
         doc = json.loads(out)  # format came from the config
         assert doc["method"] == "lme"
-        assert doc["seed"] == 7
+        assert sorted(doc["return_levels"]) == ["10", "20"]
         # explicit flag beats the config value
         code, out, _ = run_cli(
             ["fit", flood_csv, "--config", str(cfg), "--method", "mle"], capsys
         )
         doc = json.loads(out)
         assert doc["method"] == "mle"
-        assert doc["seed"] == 7
+        assert sorted(doc["return_levels"]) == ["10", "20"]
 
     def test_unknown_key_rejected(self, flood_csv, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -389,6 +415,15 @@ class TestConfig:
         code, _, err = run_cli(["fit", flood_csv, "--config", str(cfg)], capsys)
         assert code == 1
         assert "virtue" in err
+
+    @pytest.mark.parametrize("command", ["fit", "fit-ns"])
+    def test_seed_key_rejected_where_nothing_is_seeded(self, command, trend_csv, tmp_path,
+                                                       capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("method=lme\nseed=7\n")
+        code, out, err = run_cli([command, trend_csv, "--config", str(cfg)], capsys)
+        assert code == 1 and out == ""
+        assert "'seed' is not an option" in err
 
     def test_malformed_config_line(self, flood_csv, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -404,9 +439,9 @@ class TestParserCache:
     def test_back_to_back_calls_print_what_fresh_calls_print(
             self, flood_csv, trend_csv, tmp_path, capsys):
         fit_cfg = tmp_path / "fit.cfg"
-        fit_cfg.write_text("method=lme\nformat=json\nseed=7\n")
+        fit_cfg.write_text("method=lme\nformat=json\nreturn-periods=10,20\n")
         csv_cfg = tmp_path / "csv.cfg"
-        csv_cfg.write_text("format=csv\ncov-b=200\n")
+        csv_cfg.write_text("format=csv\ncov=exact\n")
         calls = [
             ["fit", flood_csv, "--config", str(fit_cfg)],
             ["fit", flood_csv, "--method", "mle", "--format", "csv"],
@@ -434,7 +469,7 @@ class TestParserCache:
             build_parser.cache_clear()
             fresh.append(call(argv))
         assert shared == fresh
-        # fit-ns and returns reject the config's cov-b, which only fit takes
+        # fit-ns and returns reject the config's cov, which only fit takes
         assert [c for c, _, _ in shared] == [0, 0, 0, 2, 1, 0, 1, 0, 0, 0, 0]
 
 

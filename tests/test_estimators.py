@@ -150,14 +150,14 @@ class TestFitGmle:
 class TestGlmeObjective:
     def test_constant_at_lme_point(self):
         x = gev_sample(GevParams(100.0, 30.0, -0.2), 60, seed=7)
-        V = lmoment_cov(x, B=500, seed=7)
+        V = lmoment_cov(x)
         lme = fit_lme(x).params
         const = 1.5 * math.log(2.0 * math.pi) + 0.5 * V.log_det
         assert glme_objective(x, V, lme) == pytest.approx(const, abs=1e-8)
 
     def test_lower_bound(self):
         x = gev_sample(GevParams(100.0, 30.0, -0.2), 60, seed=7)
-        V = lmoment_cov(x, B=500, seed=7)
+        V = lmoment_cov(x)
         const = 1.5 * math.log(2.0 * math.pi) + 0.5 * V.log_det
         rng = np.random.default_rng(0)
         for _ in range(50):
@@ -166,7 +166,7 @@ class TestGlmeObjective:
 
     def test_stationary_at_minimum_by_finite_differences(self):
         x = gev_sample(GevParams(100.0, 30.0, -0.2), 60, seed=7)
-        V = lmoment_cov(x, B=500, seed=7)
+        V = lmoment_cov(x)
         lme = fit_lme(x).params
         h = 1e-5 * (abs(lme.mu) + 1.0)
         up = glme_objective(x, V, GevParams(lme.mu + h, lme.sigma, lme.xi))
@@ -175,7 +175,7 @@ class TestGlmeObjective:
 
     def test_sentinel_outside_box(self):
         x = gev_sample(GevParams(0.0, 1.0, 0.0), 30, seed=1)
-        V = lmoment_cov(x, B=300, seed=1)
+        V = lmoment_cov(x)
         assert glme_objective(x, V, GevParams(0.0, 1.0, -0.9999999)) < SENTINEL
         assert glme_objective(x, V, GevParams(0.0, 1.0, 0.0)) < SENTINEL
 
@@ -186,7 +186,7 @@ class TestFitGlme:
         for xi in (-0.45, -0.2, 0.0, 0.2):
             x = gev_sample(GevParams(100.0, 30.0, xi), 60, seed=int(rng.integers(1e6)))
             lme = fit_lme(x).params
-            flat = fit_glme(x, seed=5).params
+            flat = fit_glme(x).params
             assert flat.mu == pytest.approx(lme.mu, abs=1e-6 * (1 + abs(lme.mu)))
             assert flat.sigma == pytest.approx(lme.sigma, abs=1e-6 * (1 + lme.sigma))
             assert flat.xi == pytest.approx(lme.xi, abs=1e-6)
@@ -195,23 +195,23 @@ class TestFitGlme:
         lme = fit_lme(flood.values).params
         assert lme.xi < 0
         for choice in range(1, 7):
-            fit = fit_glme(flood.values, AdaptiveBetaRequest(choice), seed=42)
+            fit = fit_glme(flood.values, AdaptiveBetaRequest(choice))
             assert fit.params.xi <= lme.xi + 1e-9
 
     def test_deterministic(self):
         x = gev_sample(GevParams(100.0, 30.0, -0.3), 50, seed=30)
-        a = fit_glme(x, AdaptiveBetaRequest(1), seed=4)
-        b = fit_glme(x, AdaptiveBetaRequest(1), seed=4)
+        a = fit_glme(x, AdaptiveBetaRequest(1))
+        b = fit_glme(x, AdaptiveBetaRequest(1))
         assert a.params == b.params
 
     def test_method_labels(self):
         x = gev_sample(GevParams(100.0, 30.0, -0.3), 50, seed=30)
-        assert fit_glme(x, seed=1).method == "glme"
-        assert fit_glme(x, AdaptiveBetaRequest(2), seed=1).method == "glme.b.c2"
-        assert fit_glme(x, NormalPenalty.from_choice(3), seed=1).method == "glme.n.c3"
+        assert fit_glme(x).method == "glme"
+        assert fit_glme(x, AdaptiveBetaRequest(2)).method == "glme.b.c2"
+        assert fit_glme(x, NormalPenalty.from_choice(3)).method == "glme.n.c3"
 
     def test_exact_covariance_route(self, flood):
-        fit = fit_glme(flood.values, AdaptiveBetaRequest(6), cov_method="exact", seed=42)
+        fit = fit_glme(flood.values, AdaptiveBetaRequest(6), cov_method="exact")
         assert fit.params.xi == pytest.approx(-0.453, abs=0.01)
         assert return_level(fit.params, 100.0) == pytest.approx(1824.0, rel=0.01)
 
@@ -228,7 +228,7 @@ REFERENCE_METHODS = ("glme", "glme.b.c1", "glme.b.c6", "glme.n.c2", "glme.cd", "
 def _reference_sample(n, xi, cov):
     seed = REFERENCE_CELLS[(n, xi)]
     x = gev_sample(GevParams(100.0, 30.0, xi), n, seed=seed)
-    return x, lmoment_cov(x, method=cov, B=1000, seed=seed)
+    return x, lmoment_cov(x, method=cov)
 
 
 def _built_penalty(name, x):
@@ -275,7 +275,7 @@ class TestGivenLmeFit:
 
     @pytest.mark.parametrize("choice", [1, 5])
     @pytest.mark.parametrize("fitter", [
-        lambda x, penalty, **kw: fit_glme(x, penalty, B=200, seed=3, **kw),
+        fit_glme,
         fit_gmle,
     ], ids=["glme", "gmle"])
     def test_equal_to_own_lme_fit(self, fitter, choice):
@@ -338,7 +338,7 @@ class TestZeroWeightStart:
     def test_fit_is_feasible(self, kind, truth, n, seed):
         x = gev_sample(truth, n, seed=seed)
         assert fit_lme(x).params.xi > 0.3
-        fit = parse_method(f"{kind}.b.c1").fit_stationary(x, seed=1)
+        fit = parse_method(f"{kind}.b.c1").fit_stationary(x)
         assert fit.converged
         assert fit.objective_value < SENTINEL
         assert fit.penalty.lower < fit.params.xi < fit.penalty.upper
@@ -528,7 +528,7 @@ class TestOutOfRangeSkewness:
     @pytest.mark.parametrize("name", ["lme", "gmle.b.c1", "glme.b.c1"])
     def test_estimators_needing_the_lmoment_shape_raise(self, sample, name):
         with pytest.raises(LSkewnessError, match="L-skewness"):
-            parse_method(name).fit_stationary(sample, B=200)
+            parse_method(name).fit_stationary(sample)
 
     @pytest.mark.parametrize("name", ["mle", "gmle.ms", "gmle.n.c2", "gmle.cd"])
     def test_likelihood_fits_start_from_the_gumbel_fit(self, sample, name):
@@ -537,7 +537,7 @@ class TestOutOfRangeSkewness:
 
     @pytest.mark.parametrize("name", ["glme", "glme.ms"])
     def test_glme_needs_no_lmoment_shape(self, sample, name):
-        fit = parse_method(name).fit_stationary(sample, B=200)
+        fit = parse_method(name).fit_stationary(sample)
         assert fit.converged
 
 
@@ -549,14 +549,14 @@ class TestTiedSamples:
     @pytest.mark.parametrize("name", ["lme", "mle", "gmle.n.c2", "glme", "glme.b.c1"])
     def test_two_values_raise(self, x, name):
         with pytest.raises(DegenerateDataError, match="3 distinct"):
-            parse_method(name).fit_stationary(x, B=200)
+            parse_method(name).fit_stationary(x)
 
     @pytest.mark.parametrize("name", ["lme", "mle", "gmle.n.c2", "glme", "glme.b.c1"])
     def test_rounded_sample_fits(self, name):
         # 40 draws rounded to multiples of 20: 9 distinct values
         x = np.round(gev_sample(GevParams(100.0, 30.0, -0.1), 40, seed=3) / 20.0) * 20.0
         assert np.unique(x).size == 9
-        fit = parse_method(name).fit_stationary(x, B=200)
+        fit = parse_method(name).fit_stationary(x)
         assert fit.converged and fit.params.sigma > 1.0
 
 
@@ -584,7 +584,7 @@ class TestFloodTable:
     def test_row(self, flood, name, mu, sigma, xi, r100):
         from glme.methods import parse_method
 
-        fit = parse_method(name).fit_stationary(flood.values, cov_method="exact", seed=42)
+        fit = parse_method(name).fit_stationary(flood.values, cov_method="exact")
         assert fit.params.mu == pytest.approx(mu, rel=0.005)
         assert fit.params.sigma == pytest.approx(sigma, rel=0.005)
         assert fit.params.xi == pytest.approx(xi, abs=0.01)
@@ -594,22 +594,22 @@ class TestFloodTable:
 class TestProfile:
     def test_argmax_matches_full_fit(self):
         x = gev_sample(GevParams(100.0, 30.0, -0.3), 60, seed=14)
-        fit = fit_glme(x, seed=2)
+        fit = fit_glme(x)
         grid = np.linspace(-0.7, 0.2, 46)
-        points = profile_xi(x, method="glme", grid=grid, seed=2)
+        points = profile_xi(x, method="glme", grid=grid)
         best = max(points, key=lambda p: p.value)
         spacing = grid[1] - grid[0]
         assert abs(best.xi - fit.params.xi) <= spacing + 1e-12
 
     def test_single_point_grid(self):
         x = gev_sample(GevParams(100.0, 30.0, -0.3), 40, seed=14)
-        points = profile_xi(x, method="mle", grid=[-0.3], seed=2)
+        points = profile_xi(x, method="mle", grid=[-0.3])
         assert len(points) == 1
         assert points[0].converged
 
     def test_unimodal_on_flood_series(self, flood):
         grid = np.linspace(-0.9, 0.3, 121)
-        points = profile_xi(flood.values, method="glme", grid=grid, seed=42)
+        points = profile_xi(flood.values, method="glme", grid=grid)
         values = np.array([p.value for p in points])
         k = int(np.argmax(values))
         assert np.all(np.diff(values[: k + 1]) > 0)
@@ -624,11 +624,11 @@ class TestProfile:
 
     def test_glme_values_are_exact_maxima(self, flood):
         x = flood.values
-        fit = fit_glme(x, AdaptiveBetaRequest(6), seed=42)
-        [point] = profile_xi(x, "glme", AdaptiveBetaRequest(6), [fit.params.xi], seed=42)
+        fit = fit_glme(x, AdaptiveBetaRequest(6))
+        [point] = profile_xi(x, "glme", AdaptiveBetaRequest(6), [fit.params.xi])
         assert point.converged
         assert point.value == pytest.approx(-fit.objective_value, abs=1e-9)
-        V = lmoment_cov(x, B=1000, seed=42)
+        V = lmoment_cov(x)
         mu, sigma, xi = fit.params.as_tuple()
         rng = np.random.default_rng(0)
         for _ in range(20):
@@ -653,7 +653,7 @@ class TestProfile:
 
     def test_infeasible_points_flagged(self, flood):
         points = profile_xi(flood.values, "glme", FixedBetaPenalty.from_preset("ms"),
-                            [-0.6, -0.3], seed=42)
+                            [-0.6, -0.3])
         assert [p.converged for p in points] == [False, True]
         assert points[0].value == -SENTINEL
 
@@ -666,6 +666,6 @@ class TestProfile:
             return above.max() - above.min()
 
         grid = np.linspace(-0.75, -0.05, 141)
-        flat = profile_xi(flood.values, "glme", FlatPenalty(), grid, seed=42)
-        strong = profile_xi(flood.values, "glme", AdaptiveBetaRequest(6), grid, seed=42)
+        flat = profile_xi(flood.values, "glme", FlatPenalty(), grid)
+        strong = profile_xi(flood.values, "glme", AdaptiveBetaRequest(6), grid)
         assert halfwidth(strong) < halfwidth(flat)

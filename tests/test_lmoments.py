@@ -1,5 +1,6 @@
 """L-moment machinery: sample estimators, population values, covariance, distance."""
 
+import inspect
 import math
 
 import numpy as np
@@ -14,7 +15,10 @@ from glme.lmoments import (
     COV_MIN_N,
     GUMBEL_LMOMENTS,
     CovMatrix3,
+    _bootstrap_pwm_zeta,
+    _exact_cov_matrix,
     _lmoments_from_sorted,
+    _pwm_u_statistic_cov,
     gev_lmoment_coefs,
     gev_population_lmoments,
     gld,
@@ -25,9 +29,12 @@ from glme.lmoments import (
 )
 
 from _oracles import (
+    exact_cov_matrix_loops,
     gev_population_lmoments_quadrature,
     gumbel_lmoment_cov_bootstrap,
     gumbel_max_cov_quadrature,
+    lmoment_cov_bootstrap,
+    lmoment_cov_enumerated,
     lmoments_brute_force,
 )
 
@@ -182,17 +189,17 @@ class TestGumbelPopulation:
 
 class TestLmomentCov:
     def test_deterministic(self):
+        # repeatable and seed-free: the bootstrap is computed, not sampled
         x = gev_sample(GevParams(100.0, 30.0, -0.2), 50, seed=1)
-        a = lmoment_cov(x, B=400, seed=7)
-        b = lmoment_cov(x, B=400, seed=7)
+        a = lmoment_cov(x)
+        b = lmoment_cov(x)
         np.testing.assert_array_equal(a.entries, b.entries)
-        c = lmoment_cov(x, B=400, seed=8)
-        assert not np.array_equal(a.entries, c.entries)
+        assert list(inspect.signature(lmoment_cov).parameters) == ["x", "method"]
 
     def test_positive_diagonal_and_symmetry(self):
         rng = np.random.default_rng(2)
         x = rng.exponential(size=40)
-        v = lmoment_cov(x, B=500, seed=0)
+        v = lmoment_cov(x)
         assert np.all(np.diag(v.entries) > 0)
         np.testing.assert_allclose(v.entries, v.entries.T, atol=1e-12)
         assert v.min_eigenvalue > 0
@@ -210,7 +217,7 @@ class TestLmomentCov:
             lmoment_cov(np.arange(9.0))
         with pytest.raises(SampleSizeError, match="n >= 10"):
             gumbel_lmoment_cov(9)
-        assert lmoment_cov(np.arange(10.0), B=50).entries.shape == (3, 3)
+        assert lmoment_cov(np.arange(10.0)).entries.shape == (3, 3)
 
     def test_exact_estimator_is_calibrated(self):
         # mean of the closed-form estimate over many samples matches the
@@ -240,7 +247,7 @@ class TestLmomentCov:
         acc = np.zeros((3, 3))
         m = 300
         for i in range(m):
-            acc += lmoment_cov(gev_sample(params, n, i), B=300, seed=i).entries
+            acc += lmoment_cov(gev_sample(params, n, i)).entries
         rel = np.abs(acc / m - oracle) / np.abs(oracle)
         assert rel.max() < 0.35
 
@@ -253,6 +260,76 @@ class TestLmomentCov:
         b = gumbel_lmoment_cov(40)
         np.testing.assert_array_equal(a.entries, b.entries)
         assert a.min_eigenvalue > 0
+
+
+def _close(v, want, rel):
+    """Every entry of ``v`` within ``rel`` times the largest entry of ``want``."""
+    return np.max(np.abs(v - want)) <= rel * np.max(np.abs(want))
+
+
+class TestBootstrapCov:
+    """The exact bootstrap covariance: the Monte Carlo bootstrap's limit."""
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    @pytest.mark.parametrize("ties", [False, True], ids=["distinct", "tied"])
+    def test_equals_full_enumeration(self, n, ties):
+        # below COV_MIN_N, so the closed form is called directly
+        x = np.random.default_rng(n).gumbel(size=n) * 3.0 + 10.0
+        if ties:
+            x = np.round(x)
+        xs = np.sort(x)
+        v = _pwm_u_statistic_cov(n, _bootstrap_pwm_zeta(xs))
+        assert _close(v, lmoment_cov_enumerated(x), 1e-12)
+
+    @pytest.mark.parametrize("n", [10, 30, 66])
+    def test_matches_monte_carlo_bootstrap(self, n):
+        x = gev_sample(GevParams(100.0, 30.0, -0.2), n, seed=700 + n)
+        boot, se = lmoment_cov_bootstrap(x, B=40_000, seed=n)
+        v = lmoment_cov(x)
+        assert v.source == "bootstrap"
+        # every entry within 5 Monte Carlo standard errors of the bootstrap
+        assert np.max(np.abs(v.entries - boot) / se) < 5.0
+
+    def test_scale_and_shift(self):
+        x = gev_sample(GevParams(100.0, 30.0, -0.2), 40, seed=3)
+        v = lmoment_cov(x).entries
+        assert _close(lmoment_cov(2.5 * x - 70.0).entries, 2.5 ** 2 * v, 1e-12)
+
+    def test_positive_definite(self):
+        rng = np.random.default_rng(12)
+        for _ in range(60):
+            n = int(rng.integers(10, 201))
+            x = rng.gumbel(size=n) * rng.uniform(0.1, 100.0)
+            assert lmoment_cov(x).min_eigenvalue > 0, n
+        for x in (np.array([0.0] * 10 + [1.0] * 6 + [2.0] * 4), np.round(rng.gumbel(size=60)),
+                  np.array([0.0] * 19 + [1.0])):
+            v = lmoment_cov(x)
+            assert v.source == "bootstrap" and v.min_eigenvalue > 0
+
+
+def _loops_centred(xs):
+    return exact_cov_matrix_loops(xs - xs.mean())
+
+
+class TestExactCovMatrix:
+    """The vectorised unbiased estimator equals its loop form on the same
+    centred sample, and ignores a shift."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("loc, scale", [(0.0, 1.0), (100.0, 30.0)])
+    def test_random_samples(self, seed, loc, scale):
+        rng = np.random.default_rng(seed)
+        xs = np.sort(loc + scale * rng.gumbel(size=int(rng.integers(10, 201))))
+        assert _close(_exact_cov_matrix(xs), _loops_centred(xs), 1e-12)
+        assert _close(_exact_cov_matrix(xs + 1000.0 * scale), _exact_cov_matrix(xs), 1e-12)
+
+    def test_tied_sample(self):
+        xs = np.sort(np.round(np.random.default_rng(4).gumbel(size=50)))
+        assert _close(_exact_cov_matrix(xs), _loops_centred(xs), 1e-12)
+
+    def test_flood_series(self, flood):
+        xs = np.sort(flood.values)
+        assert _close(_exact_cov_matrix(xs), _loops_centred(xs), 1e-12)
 
 
 class TestGumbelLmomentCov:
@@ -298,7 +375,7 @@ class TestCovMatrix3:
 
     def test_solve_and_whiten_against_dense_algebra(self):
         x = np.random.default_rng(5).gumbel(size=40)
-        v = lmoment_cov(x, B=500, seed=2)
+        v = lmoment_cov(x)
         r = np.array([0.3, -1.0, 2.0])
         np.testing.assert_allclose(v.solve(r), np.linalg.solve(v.entries, r), rtol=1e-12)
         np.testing.assert_allclose(v.solve(np.eye(3)), np.linalg.inv(v.entries), rtol=1e-12)
@@ -325,7 +402,7 @@ class TestGld:
     def test_positive_and_symmetric(self):
         rng = np.random.default_rng(4)
         x = rng.exponential(size=30)
-        v = lmoment_cov(x, B=500, seed=1)
+        v = lmoment_cov(x)
         a = sample_lmoments(x)
         b = sample_lmoments(x * 1.1 + 0.3)
         assert gld(a, b, v) > 0

@@ -65,6 +65,7 @@ def _trend_series(n, xi, seed):
 _T40 = np.arange(1.0, 41.0)
 _LINE_WITH_OUTLIER = 1.0 + 0.5 * _T40
 _LINE_WITH_OUTLIER[7] += 5.0
+_NEAR_LINE = 1.0 + 0.5 * _T40 + 1e-3 * np.random.default_rng(1).standard_normal(40)
 
 # an L-moment shape above 0.6 leaves the adaptive beta no support
 _NO_BETA = {"glme.b.c1": PenaltySupportError}
@@ -83,7 +84,9 @@ TREND_CORPUS = {
     "near-constant": (3.0 + 1e-13 * np.sin(_T40), DegenerateDataError),
     "near-constant-1e-6": (3.0 + 1e-6 * np.sin(_T40), _NO_BETA),
     "linear": (1.0 + 0.5 * _T40, DegenerateDataError),
-    "linear+outlier": (_LINE_WITH_OUTLIER, ConvergenceError),
+    "linear+outlier": (_LINE_WITH_OUTLIER, DegenerateDataError),
+    "near-linear": (_NEAR_LINE, None),
+    "near-linear+outlier": (_NEAR_LINE + (_T40 == 8) * 5.0, None),
     "xi=-0.95": (_trend_series(40, -0.95, 11), None),
     "xi=0.95": (_trend_series(40, 0.95, 11), _NO_BETA),
 }
@@ -153,7 +156,7 @@ class TestEdgeCorpus:
         x = STATIONARY_CORPUS[case]
 
         def fit(spec, memo):
-            return return_level(spec.fit_stationary(x, B=200, seed=1, memo=memo).params, 100.0)
+            return return_level(spec.fit_stationary(x, memo=memo).params, 100.0)
 
         alone, shared = _outcomes(STATIONARY_METHODS, fit)
         assert shared == alone
@@ -166,9 +169,9 @@ class TestEdgeCorpus:
         x = STATIONARY_CORPUS["three values 10/6/4"]
         for name in ("mle", "gmle.n.c2"):
             with pytest.raises(ConvergenceError):
-                parse_method(name).fit_stationary(x, B=200)
+                parse_method(name).fit_stationary(x)
         for name in ("lme", "glme", "glme.b.c1"):
-            assert parse_method(name).fit_stationary(x, B=200).converged
+            assert parse_method(name).fit_stationary(x).converged
 
 
 class TestMinimumSize:
@@ -183,8 +186,8 @@ class TestMinimumSize:
         spec = parse_method(name)
         assert spec.min_n == min_n
         with pytest.raises(SampleSizeError):
-            spec.fit_stationary(gev_sample(GevParams(100.0, 30.0, -0.2), min_n - 1, 4), B=50)
-        fit = spec.fit_stationary(gev_sample(GevParams(100.0, 30.0, -0.2), min_n, 4), B=50)
+            spec.fit_stationary(gev_sample(GevParams(100.0, 30.0, -0.2), min_n - 1, 4))
+        fit = spec.fit_stationary(gev_sample(GevParams(100.0, 30.0, -0.2), min_n, 4))
         assert fit.converged
 
     @pytest.mark.parametrize("name", TREND_METHODS)

@@ -34,9 +34,9 @@ calls = [
     ["fit", flood, "--method", "glme.b.c6", "--format", "csv"],
     ["fit-ns", flood, "--method", "glme.b.c5", "--format", "csv"],
     ["simulate", "--scenario", "stationary", "--xi=-0.3", "--n", "30", "--trials", "1",
-     "--jobs", "1", "--cov-b", "100"],
+     "--jobs", "1"],
     ["simulate", "--scenario", "gev11", "--xi=-0.3", "--n", "40", "--trials", "1",
-     "--jobs", "1", "--cov-b", "100"],
+     "--jobs", "1"],
 ]
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     report["codes"] = [glme.cli.main(argv) for argv in calls]

@@ -119,7 +119,7 @@ class TestRunCell:
             run_cell(cell)
 
     def test_gev11_scenario_runs(self):
-        cell = SimCell("gev11", -0.2, 40, ("lme",), N=5, base_seed=0, B=200)
+        cell = SimCell("gev11", -0.2, 40, ("lme",), N=5, base_seed=0)
         rep = run_cell(cell).methods[0]
         assert rep.n_failures == 0
         assert np.isfinite(rep.rmse)
@@ -191,7 +191,7 @@ class TestTrialSpread:
     @pytest.mark.parametrize("methods", [(("flaky", flaky),), ("lme",)], ids=["flaky", "lme"])
     def test_reports_do_not_depend_on_jobs(self, N, methods):
         kw = dict(scenario="stationary", xis=(-0.3, 0.15), ns=(30,), methods=methods,
-                  N=N, base_seed=3, B=100)
+                  N=N, base_seed=3)
         # reprs, since an all-failed method's NaN metrics never compare equal
         serial = repr(run_grid(**kw))
         assert repr(run_grid(jobs=2, **kw)) == serial
@@ -228,14 +228,14 @@ class TestSharedPieces:
 
     def test_one_trend_lme_fit_per_trial(self, monkeypatch):
         calls = _counting(monkeypatch, nonstationary, "fit_ns_lme")
-        cell = SimCell("gev11", -0.45, 40, ("lme", "glme.b.c1", "glme.n.c3"), N=4, B=100)
+        cell = SimCell("gev11", -0.45, 40, ("lme", "glme.b.c1", "glme.n.c3"), N=4)
         assert all(m.n_failures == 0 for m in run_cell(cell).methods)
         assert len(calls) == 4
 
     def test_one_lme_fit_per_trial(self, monkeypatch):
         # lme, the likelihood fits' start and the adaptive penalty's shape
         calls = _counting(monkeypatch, estimators, "fit_lme")
-        cell = SimCell("stationary", -0.3, 30, ("lme", "mle", "gmle.b.c1"), N=4, B=100)
+        cell = SimCell("stationary", -0.3, 30, ("lme", "mle", "gmle.b.c1"), N=4)
         assert all(m.n_failures == 0 for m in run_cell(cell).methods)
         assert len(calls) == 4
 
@@ -258,13 +258,13 @@ class TestSharedPieces:
 
     def test_one_covariance_per_trial(self, monkeypatch):
         calls = _counting(monkeypatch, estimators, "lmoment_cov")
-        cell = SimCell("stationary", -0.3, 30, ("glme.n.c3", "glme.b.c1"), N=4, B=100)
+        cell = SimCell("stationary", -0.3, 30, ("glme.n.c3", "glme.b.c1"), N=4)
         assert all(m.n_failures == 0 for m in run_cell(cell).methods)
         assert len(calls) == 4
 
     def test_a_failed_trend_lme_fit_fails_every_method_needing_it(self, monkeypatch):
         N = 12
-        cell = SimCell("gev11", -0.45, 40, ("lme", "glme.b.c1", "glme.n.c3"), N=N, B=100)
+        cell = SimCell("gev11", -0.45, 40, ("lme", "glme.b.c1", "glme.n.c3"), N=N)
         refused = sum(nonstationary.ns_sample(cell.truth_model(), seed)[0] < 0 for seed in range(N))
         assert 0 < refused < N
         calls = _counting(monkeypatch, nonstationary, "fit_ns_lme", lambda z, X: z[0] < 0)
@@ -276,7 +276,7 @@ class TestSharedPieces:
             raise LSkewnessError("stub refuses every sample")
 
         monkeypatch.setattr(estimators, "fit_lme", refuse)
-        cell = SimCell("stationary", -0.3, 30, ("glme.n.c3", "lme", "glme.b.c1"), N=3, B=100)
+        cell = SimCell("stationary", -0.3, 30, ("glme.n.c3", "lme", "glme.b.c1"), N=3)
         assert [m.n_failures for m in run_cell(cell).methods] == [0, 3, 3]
 
 
@@ -292,8 +292,7 @@ class TestUpFrontChecks:
             build_grid(xis=(-0.3,), ns=ns, methods=methods, N=2)
 
     def test_minimum_sizes_pass(self):
-        reports = run_grid(xis=(-0.3,), ns=(10,), methods=("lme", "mle", "glme.n.c3"), N=2,
-                           B=50)
+        reports = run_grid(xis=(-0.3,), ns=(10,), methods=("lme", "mle", "glme.n.c3"), N=2)
         assert [m.n for m in reports[0].methods] == [10, 10, 10]
 
     def test_stationary_only_method_on_the_trend_scenario(self):
