@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 # loaded here, once, rather than lazily on the first np.unique
-# (_check_distinct, trend.mann_kendall) or np.median (nonstationary), so a
-# forked worker does not pay for it
+# (_check_distinct, trend.mann_kendall), so a forked worker does not pay
+# for it
 import numpy.ma  # noqa: F401
 
 from ._optim import brent

@@ -245,16 +245,19 @@ class CovMatrix3:
         return float(np.linalg.eigvalsh(self.entries)[0])
 
 
-def _regularize(v: np.ndarray) -> tuple[np.ndarray, bool]:
+def _regularize(v: np.ndarray) -> tuple[np.ndarray, bool, float]:
     """Ridge a near-singular covariance estimate.
 
     Adds ``delta * I`` with ``delta = 1e-8 * trace/3`` whenever the smallest
-    eigenvalue is below ``1e-10 * trace/3``.
+    eigenvalue is below ``1e-10 * trace/3``.  Returns the matrix, whether it
+    was ridged, and its smallest eigenvalue (recomputed after a ridge).
     """
     scale = np.trace(v) / 3.0
-    if np.linalg.eigvalsh(v)[0] < 1e-10 * scale:
-        return v + (1e-8 * scale) * np.eye(3), True
-    return v, False
+    smallest = np.linalg.eigvalsh(v)[0]
+    if smallest < 1e-10 * scale:
+        v = v + (1e-8 * scale) * np.eye(3)
+        return v, True, np.linalg.eigvalsh(v)[0]
+    return v, False, smallest
 
 
 def _exact_cov_matrix(xs: np.ndarray) -> np.ndarray:
@@ -364,9 +367,9 @@ def lmoment_cov(x, method: str = "bootstrap") -> CovMatrix3:
         # fall through to the bootstrap when the unbiased estimate is
         # numerically singular or indefinite
 
-    v, ridged = _regularize(_pwm_u_statistic_cov(n, _bootstrap_pwm_zeta(xs)))
+    v, ridged, smallest = _regularize(_pwm_u_statistic_cov(n, _bootstrap_pwm_zeta(xs)))
     cov = CovMatrix3(v, "regularized" if ridged else "bootstrap")
-    if cov.min_eigenvalue <= 0:
+    if smallest <= 0:
         raise DegenerateDataError("covariance of bootstrap L-moments is not positive definite")
     return cov
 

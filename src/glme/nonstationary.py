@@ -161,9 +161,22 @@ def _design_matrix(X: np.ndarray, n: int) -> np.ndarray:
         X = X.reshape(-1, 1)
     if X.shape[0] != n:
         raise ValueError(f"design has {X.shape[0]} rows, data has {n}")
-    if not np.all(np.isfinite(X)):
+    if not np.isfinite(X).all():
         raise ValueError("covariates must be finite")
-    return np.column_stack([np.ones(n), X])
+    design = np.empty((n, X.shape[1] + 1))
+    design[:, 0] = 1.0
+    design[:, 1:] = X
+    return design
+
+
+def _median(a: np.ndarray) -> float:
+    """``np.median`` of a finite 1-D array, bit for bit: the same partition
+    and the same ``mean`` of the middle one or two values, without its
+    generic axis and nan handling, which costs several times as much on a
+    short series."""
+    half, odd = divmod(a.size, 2)
+    kth = half if odd else (half - 1, half)
+    return float(np.partition(a, kth)[half - 1 + odd : half + 1].mean())
 
 
 def robust_location_fit(z, X, method: str = "tukey") -> np.ndarray:
@@ -188,20 +201,21 @@ def robust_location_fit(z, X, method: str = "tukey") -> np.ndarray:
         raise ValueError(f"unknown location method {method!r}")
 
     resid = z - design @ coef
-    mad = np.median(np.abs(resid - np.median(resid)))
+    mad = _median(np.abs(resid - _median(resid)))
     scale = 1.4826 * mad
-    if scale <= 1e-12 * max(1.0, float(np.median(np.abs(z)))):
+    if scale <= 1e-12 * max(1.0, _median(np.abs(z))):
         return coef  # (near-)exact fit; nothing to reweight
 
     c = 4.685
     for _ in range(50):
         u = resid / (c * scale)
-        w = np.where(np.abs(u) < 1.0, (1.0 - u * u) ** 2, 0.0)
+        w = (1.0 - u * u) ** 2
+        w[~(abs(u) < 1.0)] = 0.0  # negated so that a nan u gets weight 0 too
         if np.count_nonzero(w) <= design.shape[1]:
             break
         wd = design * w[:, None]
         new = np.linalg.solve(design.T @ wd, wd.T @ z)
-        done = np.max(np.abs(new - coef)) <= 1e-10 * (1.0 + np.max(np.abs(new)))
+        done = abs(new - coef).max() <= 1e-10 * (1.0 + abs(new).max())
         coef = new
         resid = z - design @ coef
         if done:
@@ -227,35 +241,16 @@ def scale_regression(z, X, mu_coef) -> np.ndarray:
     design = _design_matrix(X, z.size)
     mu_coef = np.asarray(mu_coef, dtype=float)
     eps = np.abs(z - design @ mu_coef)
-    n_exact = np.count_nonzero(eps <= 1e-12 * max(1.0, float(np.median(np.abs(z)))))
+    n_exact = np.count_nonzero(eps <= 1e-12 * max(1.0, _median(np.abs(z))))
     if 2 * n_exact >= eps.size:
         raise DegenerateDataError(
             f"{n_exact} of {eps.size} location residuals are (numerically) zero; "
             "no scale information"
         )
     positive = eps[eps > 0]
-    floor = 1e-8 * float(np.median(positive))
+    floor = 1e-8 * _median(positive)
     coef, *_ = np.linalg.lstsq(design, np.log(np.where(eps > 0, eps, floor)), rcond=None)
     return coef
-
-
-def _to_gumbel(d, sigma, xi: float):
-    """The shape-standardizing transform of deviations ``d`` from the location.
-
-    Returns ``(zt, w, u)`` with ``w = d / sigma`` and ``zt, u`` the reduced
-    variate of ``w`` and ``1 - xi * w`` (see
-    :func:`glme.gev._reduced_variate`).  Raises :class:`TransformError`
-    naming the first observation outside the support (``u <= 0``).
-    """
-    w = d / sigma
-    zt, u = _reduced_variate(w, xi)
-    bad = np.flatnonzero(u <= 0)
-    if bad.size:
-        raise TransformError(
-            f"observation {bad[0]} outside the support implied by the parameters",
-            index=int(bad[0]),
-        )
-    return zt, w, u
 
 
 def gumbel_transform(z, model: NsModel) -> np.ndarray:
@@ -264,8 +259,15 @@ def gumbel_transform(z, model: NsModel) -> np.ndarray:
     Raises :class:`TransformError` (naming the first offending index) if
     any observation falls outside the implied support.
     """
-    d = np.asarray(z, dtype=float) - model.mu_values()
-    return _to_gumbel(d, model.sigma_values(), model.xi)[0]
+    w = (np.asarray(z, dtype=float) - model.mu_values()) / model.sigma_values()
+    zt, u = _reduced_variate(w, model.xi)
+    bad = np.flatnonzero(u <= 0)
+    if bad.size:
+        raise TransformError(
+            f"observation {bad[0]} outside the support implied by the parameters",
+            index=int(bad[0]),
+        )
+    return zt
 
 
 def ns_gld(ztilde, Vtilde: CovMatrix3) -> float:
@@ -291,34 +293,38 @@ def _lmoment_system(z, cov, mu_slopes, sig_slopes):
 
     The transform is increasing in ``w = (z - mu)/sigma`` and the common
     factor ``exp(log sigma0)`` leaves the order of ``w`` alone, so only
-    ``mu0`` can change the permutation.  ``kinks`` holds, for each pair of
-    neighbours in the current order, the change of ``mu0`` at which they
+    ``mu0`` can change the permutation.  ``kinks()`` returns, for each pair
+    of neighbours in the current order, the change of ``mu0`` at which they
     swap (infinite or nan when they never do); ``r`` is smooth in ``theta``
-    except across those values.
+    except across those values.  ``kinks`` is a callable because only a
+    rejected search step needs it.  Non-finite intermediates are rejected,
+    so callers evaluate under ``np.errstate`` that ignores divide, invalid
+    and overflow warnings.
     """
     d = z - cov @ mu_slopes
     log_scale = cov @ sig_slopes
     weights = _lmoment_weights(z.size)
+    columns = np.empty((z.size, 4))
 
     def evaluate(theta):
         mu0, sig0, xi = theta
         if not _XI_LO < xi < _XI_HI:
             return None
-        # non-finite results are rejected below, so their warnings are noise
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            sigma = np.exp(sig0 + log_scale)
-            try:
-                zt, w, u = _to_gumbel(d - mu0, sigma, xi)
-            except TransformError:
-                return None
-            dxi = 0.5 * w * w if abs(xi) < XI_EPS else (w / u - zt) / xi
-            order = np.argsort(zt)
-            columns = np.column_stack([zt, -1.0 / (sigma * u), -w / u, dxi])
-            out = weights @ columns[order]
-            if not np.all(np.isfinite(out)):
-                return None
-            kinks = np.diff(w[order]) / np.diff(1.0 / sigma[order])
-        return out[:, 0] - _GUMBEL_LAMBDA, out[:, 1:], kinks
+        sigma = np.exp(sig0 + log_scale)
+        w = (d - mu0) / sigma
+        zt, u = _reduced_variate(w, xi)
+        if u.min() <= 0:  # a nan u leaves zt non-finite, rejected below
+            return None
+        columns[:, 0] = zt
+        columns[:, 1] = -1.0 / (sigma * u)
+        columns[:, 2] = -w / u
+        columns[:, 3] = 0.5 * w * w if abs(xi) < XI_EPS else (w / u - zt) / xi
+        order = np.argsort(zt)
+        out = weights @ columns[order]
+        if not np.isfinite(out).all():
+            return None
+        return (out[:, 0] - _GUMBEL_LAMBDA, out[:, 1:],
+                lambda: np.diff(w[order]) / np.diff(1.0 / sigma[order]))
 
     return evaluate
 
@@ -338,7 +344,7 @@ def _stages(z, X, location_method, mu_coef=None):
     diag = StageDiagnostics(
         location_coef=mu_coef,
         scale_coef=scale_coef,
-        residual_median=float(np.median(eps)),
+        residual_median=_median(eps),
         residual_max=float(np.max(eps)),
     )
     return mu_coef, scale_coef, diag
@@ -378,7 +384,7 @@ def _newton(evaluate, theta, r, jac):
     decreases; stops below ``_ROOT_TOL``, on a singular Jacobian, or when
     no halving helps.  Returns ``(theta, norm, evaluations)``.
     """
-    norm = float(np.linalg.norm(r))
+    norm = math.sqrt(r @ r)
     n_eval = 0
     for _ in range(_NEWTON_ITER):
         if norm < _ROOT_TOL:
@@ -390,10 +396,11 @@ def _newton(evaluate, theta, r, jac):
         for _ in range(_HALVINGS):
             trial = evaluate(theta + step)
             n_eval += 1
-            if trial is not None and np.linalg.norm(trial[0]) < norm:
+            trial_norm = math.inf if trial is None else math.sqrt(trial[0] @ trial[0])
+            if trial_norm < norm:
                 theta = theta + step
                 r, jac = trial[:2]
-                norm = float(np.linalg.norm(r))
+                norm = trial_norm
                 break
             step = 0.5 * step
         else:
@@ -427,17 +434,19 @@ def _fit_ns_lme_once(z, X, location_method, mu_coef) -> NsFitResult:
     evaluate = _lmoment_system(z, cov, mu_slopes, sig_slopes)
 
     best_theta, best_norm, evals = None, math.inf, 0
-    for theta0 in _init_candidates(z, cov, mu_coef, scale_coef):
-        start = evaluate(theta0)
-        evals += 1
-        if start is None:
-            continue
-        theta, norm, n_eval = _newton(evaluate, theta0, *start[:2])
-        evals += n_eval
-        if norm < best_norm:
-            best_theta, best_norm = theta, norm
-        if best_norm < 1e-8:
-            break
+    # see _lmoment_system for the warnings this silences
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for theta0 in _init_candidates(z, cov, mu_coef, scale_coef):
+            start = evaluate(theta0)
+            evals += 1
+            if start is None:
+                continue
+            theta, norm, n_eval = _newton(evaluate, theta0, *start[:2])
+            evals += n_eval
+            if norm < best_norm:
+                best_theta, best_norm = theta, norm
+            if best_norm < 1e-8:
+                break
     if best_theta is None:
         raise ConvergenceError("no feasible starting point for the L-moment system")
 
@@ -465,20 +474,20 @@ def _levenberg_marquardt(objective, theta, current, penalty, alpha_n: float):
     """Levenberg-Marquardt on ``0.5 |e|**2 + alpha_n * (-ln p(xi))`` from a
     feasible point.
 
-    ``objective(theta)`` returns ``(value, e, de/dtheta, kinks)`` (see
-    :func:`_lmoment_system`) or None where infeasible; ``penalty`` is None
-    when it is not in force.  The gradient and Gauss-Newton matrix use the
-    exact Jacobian plus the penalty's slope and (nonnegative part of its)
-    curvature by central differences.  Stops when the relative step is at
-    most ``_LM_XTOL`` or the objective falls by at most
-    ``_LM_FTOL * (1 + |f|)``; converged is False when the evaluation cap
-    is hit first.  Returns ``(theta, objective(theta), evaluations,
+    ``objective(theta)`` returns ``(value, e, de/dtheta, kinks)``, with
+    ``kinks`` the callable of :func:`_lmoment_system`, or None where
+    infeasible; ``penalty`` is None when it is not in force.  The gradient
+    and Gauss-Newton matrix use the exact Jacobian plus the penalty's slope
+    and (nonnegative part of its) curvature by central differences.  Stops
+    when the relative step is at most ``_LM_XTOL`` or the objective falls
+    by at most ``_LM_FTOL * (1 + |f|)``; converged is False when the
+    evaluation cap is hit first.  Returns ``(theta, objective(theta), evaluations,
     converged)``.
     """
     n_eval = 1
     damping, converged = _LM_DAMPING, False
     while n_eval < _LM_MAX_EVAL:
-        value, e, a, kinks = current
+        value, e, a, find_kinks = current
         grad = a.T @ e
         hess = a.T @ a
         if penalty is not None:
@@ -486,12 +495,12 @@ def _levenberg_marquardt(objective, theta, current, penalty, alpha_n: float):
             grad[2] += alpha_n * slope
             hess[2, 2] += max(alpha_n * curvature, 0.0)
         lhs = hess + damping * np.diag(np.diag(hess))
-        xtol = _LM_XTOL * (1.0 + np.abs(theta))
+        xtol = _LM_XTOL * (1.0 + abs(theta))
         try:
             step = np.linalg.solve(lhs, -grad)
         except np.linalg.LinAlgError:
             break
-        if np.all(np.abs(step) <= xtol):
+        if (abs(step) <= xtol).all():
             converged = True
             break
         trial = objective(theta + step)
@@ -507,13 +516,13 @@ def _levenberg_marquardt(objective, theta, current, penalty, alpha_n: float):
         # Across a kink the Jacobian of one side misjudges the other, and
         # minima often sit on a kink: retry with mu0 held on the kink the
         # point is on, else with the step stopped at the first kink ahead.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fractions = kinks / step[0]
+        kinks = find_kinks()
+        fractions = kinks / step[0]
         ahead = fractions[(fractions > 0) & (fractions < 1.0)]
-        if np.any(np.abs(kinks) <= xtol[0]) or ahead.size:
-            on_kink = np.any(np.abs(kinks) <= xtol[0])
+        on_kink = (abs(kinks) <= xtol[0]).any()
+        if on_kink or ahead.size:
             step = _pinned_step(lhs, grad, 0.0 if on_kink else ahead.min() * step[0])
-            if np.any(np.abs(step) > xtol):
+            if (abs(step) > xtol).any():
                 trial = objective(theta + step)
                 n_eval += 1
                 if trial is not None and trial[0] < value:
@@ -581,13 +590,14 @@ def fit_ns_glme(
     theta = np.array([lme.model.mu_coef[0], lme.model.sigma_coef[0], lme.model.xi])
     if penalized and penalty.neg_log(theta[2]) >= SENTINEL:
         theta[2] = penalty.mode
-    current = objective(theta)
-    if current is None:
-        raise ConvergenceError(f"{method}: the starting point is infeasible")
-
-    theta, current, n_eval, converged = _levenberg_marquardt(
-        objective, theta, current, penalty if penalized else None, alpha_n
-    )
+    # see _lmoment_system for the warnings this silences
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        current = objective(theta)
+        if current is None:
+            raise ConvergenceError(f"{method}: the starting point is infeasible")
+        theta, current, n_eval, converged = _levenberg_marquardt(
+            objective, theta, current, penalty if penalized else None, alpha_n
+        )
     model = NsModel(
         np.concatenate([[theta[0]], mu_slopes]),
         np.concatenate([[theta[1]], sig_slopes]),

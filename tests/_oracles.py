@@ -7,7 +7,9 @@ package internals.  The exceptions are ``likelihood_fit_nelder_mead``,
 ``ns_glme_nelder_mead``, references for the *searches* of the
 (penalized) likelihood fit, of the penalty-weighted L-moment fit and of the
 trend model's final stage: they minimize the package's own objectives, by
-brute force.
+brute force; and ``lmoment_system_reference`` and
+``robust_location_fit_reference``, earlier versions of two package
+functions kept verbatim so their rewrites can be checked bit for bit.
 """
 
 import math
@@ -337,7 +339,13 @@ def _ns_system(z, X, mu_coef, scale_coef):
 
     cov = _design_matrix(X, z.size)[:, 1:]
     evaluate = _lmoment_system(z, cov, mu_coef[1:], scale_coef[1:])
-    return cov, evaluate
+
+    def quiet(theta):
+        # the package's solvers evaluate under the same errstate
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return evaluate(theta)
+
+    return cov, quiet
 
 
 def ns_lme_nelder_mead(z, X, location_method="tukey", seed=0):
@@ -410,3 +418,90 @@ def ns_glme_nelder_mead(z, lme_model, penalty, alpha_n, V, seed=0):
     scale = np.array([0.1 * abs(theta0[0]) + 1.0, 0.1 * abs(theta0[1]) + 0.05, 0.05])
     res = nelder_mead(objective, theta0, scale, seed=seed)
     return res.x, res.fun
+
+
+def lmoment_system_reference(z, cov, mu_slopes, sig_slopes):
+    """``glme.nonstationary._lmoment_system`` as it stood before its
+    evaluation was streamlined, kept verbatim as a bitwise reference: the
+    same ``(r, J, kinks)`` or None, with ``kinks`` an array."""
+    from glme.errors import TransformError
+    from glme.estimators import _XI_HI, _XI_LO
+    from glme.gev import XI_EPS, _reduced_variate
+    from glme.lmoments import _lmoment_weights, gumbel_population_lmoments
+
+    gumbel_lambda = gumbel_population_lmoments().as_array()
+
+    def to_gumbel(d, sigma, xi):
+        w = d / sigma
+        zt, u = _reduced_variate(w, xi)
+        bad = np.flatnonzero(u <= 0)
+        if bad.size:
+            raise TransformError(
+                f"observation {bad[0]} outside the support implied by the parameters",
+                index=int(bad[0]),
+            )
+        return zt, w, u
+
+    d = z - cov @ mu_slopes
+    log_scale = cov @ sig_slopes
+    weights = _lmoment_weights(z.size)
+
+    def evaluate(theta):
+        mu0, sig0, xi = theta
+        if not _XI_LO < xi < _XI_HI:
+            return None
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            sigma = np.exp(sig0 + log_scale)
+            try:
+                zt, w, u = to_gumbel(d - mu0, sigma, xi)
+            except TransformError:
+                return None
+            dxi = 0.5 * w * w if abs(xi) < XI_EPS else (w / u - zt) / xi
+            order = np.argsort(zt)
+            columns = np.column_stack([zt, -1.0 / (sigma * u), -w / u, dxi])
+            out = weights @ columns[order]
+            if not np.all(np.isfinite(out)):
+                return None
+            kinks = np.diff(w[order]) / np.diff(1.0 / sigma[order])
+        return out[:, 0] - gumbel_lambda, out[:, 1:], kinks
+
+    return evaluate
+
+
+def robust_location_fit_reference(z, X, method="tukey"):
+    """``glme.nonstationary.robust_location_fit`` as it stood before its
+    IRLS loop was streamlined, kept verbatim as a bitwise reference."""
+    from glme.nonstationary import _design_matrix
+
+    z = np.asarray(z, dtype=float)
+    design = _design_matrix(X, z.size)
+    if z.size <= design.shape[1]:
+        raise ValueError("need more observations than coefficients")
+    coef, _, rank, _ = np.linalg.lstsq(design, z, rcond=None)
+    if rank < design.shape[1]:
+        raise ValueError("design matrix is rank deficient")
+    if method == "ols":
+        return coef
+    if method != "tukey":
+        raise ValueError(f"unknown location method {method!r}")
+
+    resid = z - design @ coef
+    mad = np.median(np.abs(resid - np.median(resid)))
+    scale = 1.4826 * mad
+    if scale <= 1e-12 * max(1.0, float(np.median(np.abs(z)))):
+        return coef
+
+    c = 4.685
+    for _ in range(50):
+        u = resid / (c * scale)
+        w = np.where(np.abs(u) < 1.0, (1.0 - u * u) ** 2, 0.0)
+        if np.count_nonzero(w) <= design.shape[1]:
+            break
+        wd = design * w[:, None]
+        new = np.linalg.solve(design.T @ wd, wd.T @ z)
+        done = np.max(np.abs(new - coef)) <= 1e-10 * (1.0 + np.max(np.abs(new)))
+        coef = new
+        resid = z - design @ coef
+        if done:
+            break
+    return coef

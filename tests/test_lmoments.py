@@ -19,6 +19,7 @@ from glme.lmoments import (
     _exact_cov_matrix,
     _lmoments_from_sorted,
     _pwm_u_statistic_cov,
+    _regularize,
     gev_lmoment_coefs,
     gev_population_lmoments,
     gld,
@@ -305,6 +306,32 @@ class TestBootstrapCov:
                   np.array([0.0] * 19 + [1.0])):
             v = lmoment_cov(x)
             assert v.source == "bootstrap" and v.min_eigenvalue > 0
+
+    def test_regularize_reports_the_smallest_eigenvalue(self):
+        # unridged: the same matrix and the eigenvalue the positive-definite
+        # check would compute; ridged: the ridged matrix's own eigenvalue
+        v = _pwm_u_statistic_cov(30, _bootstrap_pwm_zeta(np.sort(gev_sample(
+            GevParams(100.0, 30.0, -0.2), 30, seed=4))))
+        same, ridged, smallest = _regularize(v)
+        assert same is v and not ridged
+        assert smallest == CovMatrix3(v, "bootstrap").min_eigenvalue
+        singular = np.outer([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+        out, ridged, smallest = _regularize(singular)
+        assert ridged and 0 < smallest == CovMatrix3(out, "regularized").min_eigenvalue
+
+    @pytest.mark.parametrize("entries,source", [
+        (np.diag([1.0, 1.0, 1e-12]), "regularized"),  # ridged, then positive
+        (np.diag([1.0, 1.0, -1.0]), None),  # ridged, still indefinite
+        (np.zeros((3, 3)), None),  # not ridged (trace 0), singular
+    ])
+    def test_positive_definite_decision(self, monkeypatch, entries, source):
+        monkeypatch.setattr("glme.lmoments._pwm_u_statistic_cov", lambda n, zeta: entries)
+        x = np.arange(20.0)
+        if source is None:
+            with pytest.raises(DegenerateDataError, match="not positive definite"):
+                lmoment_cov(x)
+        else:
+            assert lmoment_cov(x).source == source
 
 
 def _loops_centred(xs):

@@ -14,7 +14,9 @@ from glme.lmoments import GUMBEL_LMOMENTS, CovMatrix3, gumbel_lmoment_cov, sampl
 from glme.methods import parse_method
 from glme.nonstationary import (
     NsModel,
+    _init_candidates,
     _lmoment_system,
+    _median,
     fit_ns_glme,
     fit_ns_lme,
     gev11_design,
@@ -27,6 +29,7 @@ from glme.nonstationary import (
 )
 from glme.penalties import SENTINEL, AdaptiveBetaRequest, FixedBetaPenalty, FlatPenalty
 from glme.simulation import SimCell
+from test_methods import TREND_CORPUS
 
 
 class TestNsModel:
@@ -394,7 +397,7 @@ class TestLmomentSystem:
         r, jac, kinks = evaluate(theta)
         # a mu0 step must not cross a kink, where the sort order changes;
         # a shape step leaves the Gumbel band |xi| < 1e-6 on both sides
-        steps = [min(1e-6, 0.1 * np.min(np.abs(kinks))), 1e-6, 1e-6 if abs(xi) > 1e-5 else 1e-4]
+        steps = [min(1e-6, 0.1 * np.min(np.abs(kinks()))), 1e-6, 1e-6 if abs(xi) > 1e-5 else 1e-4]
         want = self._central_differences(evaluate, theta, steps)
         np.testing.assert_allclose(jac, want, rtol=1e-6, atol=1e-8)
 
@@ -426,13 +429,13 @@ class TestLmomentSystem:
         theta = np.array([mu0, 0.95, xi])
         r, jac, kinks = evaluate(theta)
         assert evaluate(theta + np.array([0.0, 0.0, 0.01])) is None  # the edge is that close
-        steps = [min(1e-9, 0.1 * np.min(np.abs(kinks))), 1e-9, 1e-9]
+        steps = [min(1e-9, 0.1 * np.min(np.abs(kinks()))), 1e-9, 1e-9]
         want = self._central_differences(evaluate, theta, steps)
         np.testing.assert_allclose(jac, want, rtol=1e-5, atol=1e-6)
 
     def test_kinks_are_the_mu0_shifts_that_swap_neighbours(self):
         z, evaluate = self._system(-0.2)
-        kinks = evaluate(np.array([0.05, 0.95, -0.2]))[2]
+        kinks = evaluate(np.array([0.05, 0.95, -0.2]))[2]()
         t = kinks[np.argmin(np.abs(kinks))]
 
         def order(mu0):
@@ -446,6 +449,104 @@ class TestLmomentSystem:
         _, evaluate = self._system(-0.2)
         assert evaluate(np.array([0.05, 0.95, 1.0])) is None
         assert evaluate(np.array([50.0, 0.95, -0.2])) is None
+
+
+# gev11 draws checked bit for bit against the reference copies: sizes,
+# shapes (0 and the inside of the Gumbel band |xi| < 1e-6 included) and
+# series seeds
+BITWISE_CASES = [
+    (n, xi, seed)
+    for n in (40, 70)
+    for xi in (-0.45, -0.15, -1e-7, 0.0, 1e-7, 0.15, 0.45)
+    for seed in (1, 2, 3)
+]
+
+
+def _bitwise_slopes_and_points(z, X):
+    """The final stage's slopes for a series and points to evaluate it at:
+    the lme solution (or its best point, or the start points when it has
+    none), small and large perturbations of it, shifts of the location
+    intercept that leave the support for any shape but 0, and shapes at
+    and beyond the box edges."""
+    try:
+        lme = fit_ns_lme(z, X)
+    except ConvergenceError as err:
+        lme = err.best
+    except DegenerateDataError:
+        lme = None
+    if lme is None:
+        mu_coef = robust_location_fit(z, X)
+        try:
+            scale_coef = scale_regression(z, X, mu_coef)
+        except DegenerateDataError:
+            scale_coef = np.zeros_like(mu_coef)
+        cov = X.astype(float)
+        centre = _init_candidates(z, cov, mu_coef, scale_coef)[-1]
+    else:
+        mu_coef, scale_coef = lme.model.mu_coef, lme.model.sigma_coef
+        centre = np.array([mu_coef[0], scale_coef[0], lme.model.xi])
+    rng = np.random.default_rng(0)
+    spread = 10.0 * max(np.ptp(z), 1.0)
+    points = [centre, centre * np.array([1.0, 1.0, 0.0])]
+    points += [centre + rng.normal(scale=h, size=3) for h in (1e-7, 1e-3, 0.1) for _ in range(4)]
+    points += [centre + np.array([sign * spread, 0.0, 0.0]) for sign in (1.0, -1.0)]
+    points += [np.array([centre[0], centre[1], xi]) for xi in (-1.0, -1.0 + 1e-8, 1.0, 1.5)]
+    return mu_coef[1:], scale_coef[1:], points
+
+
+def _assert_bitwise_same_system(z, X):
+    """The final stage's equations and the location fit, new against the
+    reference copies: equal arrays and the same Nones.  Returns the number
+    of points where the equations are defined and where they are not."""
+    from _oracles import lmoment_system_reference, robust_location_fit_reference
+
+    for method in ("tukey", "ols"):
+        assert np.array_equal(robust_location_fit(z, X, method),
+                              robust_location_fit_reference(z, X, method))
+    mu_slopes, sig_slopes, points = _bitwise_slopes_and_points(z, X)
+    cov = X.astype(float)
+    evaluate = _lmoment_system(z, cov, mu_slopes, sig_slopes)
+    reference = lmoment_system_reference(z, cov, mu_slopes, sig_slopes)
+    defined = 0
+    for theta in points:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            got, want = evaluate(theta), reference(theta)
+            kinks = None if got is None else got[2]()
+        if want is None:
+            assert got is None, theta
+            continue
+        defined += 1
+        assert got is not None, theta
+        assert np.array_equal(got[0], want[0]), theta
+        assert np.array_equal(got[1], want[1]), theta
+        assert np.array_equal(kinks, want[2], equal_nan=True), theta
+    return defined, len(points) - defined
+
+
+class TestBitwiseAgainstReference:
+    """The final stage's equations and the robust location fit give the
+    same bits as the reference copies of their earlier versions."""
+
+    @pytest.mark.parametrize("n,xi,seed", BITWISE_CASES)
+    def test_gev11_draws(self, n, xi, seed):
+        model = SimCell("gev11", xi, n).truth_model()
+        defined, undefined = _assert_bitwise_same_system(
+            ns_sample(model, seed), model.covariates)
+        assert defined >= 10 and undefined >= 3
+
+    @pytest.mark.parametrize("case", TREND_CORPUS)
+    def test_trend_corpus(self, case):
+        z = TREND_CORPUS[case][0]
+        _assert_bitwise_same_system(z, gev11_design(z.size))
+
+    def test_median_matches_numpy(self):
+        rng = np.random.default_rng(5)
+        for n in range(1, 80):
+            for a in (rng.standard_normal(n), np.round(rng.standard_normal(n)),
+                      np.abs(rng.standard_normal(n)) * 1e-300, np.zeros(n),
+                      np.where(rng.random(n) < 0.5, -0.0, 0.0)):
+                got, want = _median(a), np.median(a)
+                assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), a
 
 
 class TestZeroWeightLmeShape:

@@ -129,6 +129,18 @@ class TestRunCell:
         with pytest.raises(ValueError, match="scenario"):
             SimCell("weird", -0.3, 30)
 
+    def test_a_trial_without_a_root_fails_typed_and_is_counted(self):
+        # at xi=-0.45, n=40 about 1 gev11 draw in 2300 leaves the L-moment
+        # equations no root once the slopes are fixed; this is one of them
+        seed = 23186
+        cell = SimCell("gev11", -0.45, 40, ("lme", "glme.b.c1"), N=1, base_seed=seed)
+        z = nonstationary.ns_sample(cell.truth_model(), seed)
+        X = cell.truth_model().covariates
+        for name in cell.methods:
+            with pytest.raises(ConvergenceError, match="stalled"):
+                parse_method(name).fit_ns(z, X)
+        assert [m.n_failures for m in run_cell(cell).methods] == [1, 1]
+
 
 class TestTruth:
     def test_stationary_truth(self):
