@@ -334,7 +334,9 @@ def _default_init(arr: np.ndarray, lme: FitResult | None = None) -> GevParams:
 
 def _feasible_scale(arr: np.ndarray, mu: float, sigma: float, xi: float) -> float:
     """``sigma``, or when some observation lies outside the support of
-    (mu, sigma, xi), the scale that puts the farthest one at ``u = 1/2``."""
+    (mu, sigma, xi), the scale that puts the farthest one at ``u = 1/2``.
+    The one feasibility rule for starts that fix the shape, stationary or
+    trend (``fit_ns_glme``'s start at a penalty's mode)."""
     reach = float(np.max(xi * (arr - mu)))
     return sigma if reach < sigma else 2.0 * reach
 

@@ -205,7 +205,8 @@ class CovMatrix3:
         self.entries = np.asarray(self.entries, dtype=float)
         if self.entries.shape != (3, 3):
             raise ValueError("covariance must be 3x3")
-        if not np.allclose(self.entries, self.entries.T, atol=1e-12):
+        atol = 1e-12 * np.abs(self.entries).max()  # relative to the matrix's size
+        if not np.allclose(self.entries, self.entries.T, atol=atol):
             raise ValueError("covariance must be symmetric")
 
     def _factor(self) -> np.ndarray:

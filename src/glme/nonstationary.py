@@ -27,14 +27,18 @@ import numpy as np
 
 # unused here; perfbench/tracing.py patches glme.nonstationary.nelder_mead by name
 from ._optim import nelder_mead  # noqa: F401
-from .errors import (
-    ConvergenceError,
-    DegenerateDataError,
-    LSkewnessError,
-    SampleSizeError,
-    TransformError,
+from .errors import ConvergenceError, DegenerateDataError, SampleSizeError, TransformError
+from .estimators import (
+    _XI_HI,
+    _XI_LO,
+    FIT_MIN_N,
+    _check_distinct,
+    _feasible_scale,
+    _objective_const,
 )
-from .estimators import _XI_HI, _XI_LO, _check_distinct, _objective_const, fit_lme
+
+# unused here; perfbench/tracing.py patches glme.nonstationary.fit_lme by name
+from .estimators import fit_lme  # noqa: F401
 from .gev import XI_EPS, GevParams, _reduced_variate, _sample, return_level
 from .lmoments import (
     COV_MIN_N,
@@ -350,33 +354,6 @@ def _stages(z, X, location_method, mu_coef=None):
     return mu_coef, scale_coef, diag
 
 
-def _init_candidates(z, cov, mu_coef, scale_coef):
-    """Starting points for the final-stage search, in preference order.
-
-    The first is (robust location intercept, log-regression intercept,
-    L-moment shape of the detrended residuals).  Because the log-regression
-    intercept is biased low it can start outside the transform's support,
-    so fallbacks re-derive the scale intercept from the detrended
-    residuals' L-moment fit and, last, pull the shape to 0, where the
-    transform is support-free.
-    """
-    detrended = (z - cov @ mu_coef[1:] - mu_coef[0]) / np.exp(cov @ scale_coef[1:])
-    xi0 = 0.0
-    log_scale = None
-    try:
-        fit = fit_lme(detrended).params
-        xi0 = float(np.clip(fit.xi, -0.9, 0.9))
-        log_scale = math.log(fit.sigma)
-    except (LSkewnessError, DegenerateDataError):
-        pass
-    candidates = [np.array([mu_coef[0], scale_coef[0], xi0])]
-    if log_scale is not None:
-        candidates.append(np.array([mu_coef[0], log_scale, xi0]))
-        candidates.append(np.array([mu_coef[0], log_scale, 0.0]))
-    candidates.append(np.array([mu_coef[0], scale_coef[0], 0.0]))
-    return candidates
-
-
 def _newton(evaluate, theta, r, jac):
     """Damped Newton on ``r(theta) = 0`` from a feasible point.
 
@@ -413,13 +390,19 @@ def fit_ns_lme(z, X, location_method: str = "tukey", refine: bool = False) -> Ns
 
     Slopes come from the regression stages and stay fixed; the intercepts
     and shape solve the three L-moment equations by damped Newton with the
-    exact Jacobian (see :func:`_lmoment_system`), from each start of
-    :func:`_init_candidates` in turn until one reaches a residual norm
-    below 1e-8, which counts as converged.  ``iterations`` counts the
-    evaluations of the equations.  With ``refine`` the scale regression
-    and the matching stage run a second time using the location intercept
-    found by the first pass.
+    exact Jacobian (see :func:`_lmoment_system`) from one start: the
+    location intercept, the log-scale regression intercept and shape 0,
+    where the transform has no support bound, so the start is feasible for
+    every series.  A residual norm below 1e-8 counts as converged.
+    ``iterations`` counts the evaluations of the equations.  With
+    ``refine`` the scale regression and the matching stage run a second
+    time using the location intercept found by the first pass.  The fit
+    needs at least ``FIT_MIN_N`` observations.
     """
+    z = np.asarray(z, dtype=float)
+    if z.size < FIT_MIN_N:
+        raise SampleSizeError(
+            f"fit_ns_lme needs at least {FIT_MIN_N} observations, got {z.size}")
     result = _fit_ns_lme_once(z, X, location_method, None)
     if refine:
         result = _fit_ns_lme_once(z, X, location_method, result.model.mu_coef.copy())
@@ -427,39 +410,29 @@ def fit_ns_lme(z, X, location_method: str = "tukey", refine: bool = False) -> Ns
 
 
 def _fit_ns_lme_once(z, X, location_method, mu_coef) -> NsFitResult:
-    z = np.asarray(z, dtype=float)
     mu_coef, scale_coef, diag = _stages(z, X, location_method, mu_coef)
     cov = _design_matrix(X, z.size)[:, 1:]
     mu_slopes, sig_slopes = mu_coef[1:], scale_coef[1:]
     evaluate = _lmoment_system(z, cov, mu_slopes, sig_slopes)
 
-    best_theta, best_norm, evals = None, math.inf, 0
+    theta = np.array([mu_coef[0], scale_coef[0], 0.0])
     # see _lmoment_system for the warnings this silences
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for theta0 in _init_candidates(z, cov, mu_coef, scale_coef):
-            start = evaluate(theta0)
-            evals += 1
-            if start is None:
-                continue
-            theta, norm, n_eval = _newton(evaluate, theta0, *start[:2])
-            evals += n_eval
-            if norm < best_norm:
-                best_theta, best_norm = theta, norm
-            if best_norm < 1e-8:
-                break
-    if best_theta is None:
-        raise ConvergenceError("no feasible starting point for the L-moment system")
+        start = evaluate(theta)
+        if start is None:
+            raise ConvergenceError("no feasible starting point for the L-moment system")
+        theta, norm, n_eval = _newton(evaluate, theta, *start[:2])
 
     model = NsModel(
-        np.concatenate([[best_theta[0]], mu_slopes]),
-        np.concatenate([[best_theta[1]], sig_slopes]),
-        float(best_theta[2]),
+        np.concatenate([[theta[0]], mu_slopes]),
+        np.concatenate([[theta[1]], sig_slopes]),
+        float(theta[2]),
         cov,
     )
-    result = NsFitResult(model, "lme", best_norm, best_norm < 1e-8, evals, diag)
+    result = NsFitResult(model, "lme", norm, norm < 1e-8, 1 + n_eval, diag)
     if not result.converged:
         raise ConvergenceError(
-            f"L-moment matching stalled at residual norm {best_norm:.3g}", best=result
+            f"L-moment matching stalled at residual norm {norm:.3g}", best=result
         )
     return result
 
@@ -547,7 +520,9 @@ def fit_ns_glme(
     given), and reuses its slopes; an :class:`AdaptiveBetaRequest` penalty
     is built from that fit's shape.
     When the penalty gives that shape zero weight, the search starts at
-    the penalty's mode instead.  The objective
+    the penalty's mode instead, with the scale intercept raised where
+    needed so that every observation lies inside the transform's support
+    (the rule of :func:`~glme.estimators._feasible_scale`).  The objective
     ``0.5 * |L^-1 r|**2 + alpha_n * (-ln p(xi)) + C``, with ``V = L L'`` the
     exact covariance of standard-Gumbel sample L-moments at the series'
     length (:func:`~glme.lmoments.gumbel_lmoment_cov`), is minimized by
@@ -589,7 +564,12 @@ def fit_ns_glme(
 
     theta = np.array([lme.model.mu_coef[0], lme.model.sigma_coef[0], lme.model.xi])
     if penalized and penalty.neg_log(theta[2]) >= SENTINEL:
+        # the mode may put data outside the transform's support at the lme
+        # intercepts; raise the scale intercept until it does not
         theta[2] = penalty.mode
+        detrended = (z - cov @ mu_slopes - theta[0]) / np.exp(cov @ sig_slopes)
+        sigma0 = math.exp(theta[1])
+        theta[1] += math.log(_feasible_scale(detrended, 0.0, sigma0, theta[2]) / sigma0)
     # see _lmoment_system for the warnings this silences
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         current = objective(theta)

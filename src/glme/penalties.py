@@ -1,6 +1,6 @@
 """Penalty families on the GEV shape parameter.
 
-Four families are provided, each evaluable as a nonnegative weight p(xi)
+Five families are provided, each evaluable as a nonnegative weight p(xi)
 and as -ln p(xi):
 
 * flat: no penalty.

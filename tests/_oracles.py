@@ -351,20 +351,20 @@ def _ns_system(z, X, mu_coef, scale_coef):
 def ns_lme_nelder_mead(z, X, location_method="tukey", seed=0):
     """The trend model's L-moment matching stage by Nelder-Mead.
 
-    The search ``fit_ns_lme`` ran before it used the exact Jacobian: over
-    the package's starting points in order, the seeded Nelder-Mead on the
-    squared residual norm, then finite-difference Newton steps, until one
-    start reaches a residual norm below 1e-8.  Slopes come from the
+    The search ``fit_ns_lme`` ran before it used the exact Jacobian, from
+    the package's one start (location intercept, log-scale regression
+    intercept, shape 0): the seeded Nelder-Mead on the squared residual
+    norm, then finite-difference Newton steps.  Slopes come from the
     package's regression stages.  Returns ``(theta, residual norm)`` with
     ``theta = (mu0, log sigma0, xi)``.
     """
     from glme._optim import nelder_mead
-    from glme.nonstationary import _init_candidates, _stages
+    from glme.nonstationary import _stages
     from glme.penalties import SENTINEL
 
     z = np.asarray(z, dtype=float)
     mu_coef, scale_coef, _ = _stages(z, X, location_method)
-    cov, evaluate = _ns_system(z, X, mu_coef, scale_coef)
+    _, evaluate = _ns_system(z, X, mu_coef, scale_coef)
 
     def residual(theta):
         out = evaluate(theta)
@@ -374,19 +374,11 @@ def ns_lme_nelder_mead(z, X, location_method="tukey", seed=0):
         r = residual(theta)
         return SENTINEL if r is None else float(r @ r)
 
-    best_theta, best_norm = None, math.inf
-    for theta0 in _init_candidates(z, cov, mu_coef, scale_coef):
-        if objective(theta0) >= SENTINEL:
-            continue
-        scale = np.array([0.1 * abs(theta0[0]) + 1.0, 0.1 * abs(theta0[1]) + 0.05, 0.05])
-        res = nelder_mead(objective, theta0, scale, seed=seed, f_target=1e-20, tol=1e-10)
-        theta, r = _newton_polish(residual, res.x)
-        norm = float(np.linalg.norm(r)) if r is not None else math.sqrt(res.fun)
-        if norm < best_norm:
-            best_theta, best_norm = theta, norm
-        if best_norm < 1e-8:
-            break
-    return best_theta, best_norm
+    theta0 = np.array([mu_coef[0], scale_coef[0], 0.0])
+    scale = np.array([0.1 * abs(theta0[0]) + 1.0, 0.1 * abs(theta0[1]) + 0.05, 0.05])
+    res = nelder_mead(objective, theta0, scale, seed=seed, f_target=1e-20, tol=1e-10)
+    theta, r = _newton_polish(residual, res.x)
+    return theta, float(np.linalg.norm(r)) if r is not None else math.sqrt(res.fun)
 
 
 def ns_glme_nelder_mead(z, lme_model, penalty, alpha_n, V, seed=0):

@@ -292,10 +292,13 @@ class TestSimulate:
     # same n_failures in every row).  stationary moved again when the
     # stationary glme covariance went from a seeded Monte Carlo bootstrap
     # (B=100 here) to the exact bootstrap limit (glme rows only; lme and mle
-    # rows byte-identical, the same n_failures in every row)
+    # rows byte-identical, the same n_failures in every row).  gev11 moved
+    # again when fit_ns_lme went from a chain of start points to the one
+    # shape-0 start: the same roots at solver tolerance (bias moves up to
+    # 2.4e-7 here, 1.4e-7 at 300 trials), the same n_failures in every row
     GRID_DIGESTS = {
         "stationary": "d9365fdce8c8d69557bb253738a9359bb4dbf849f8458b5302a592b87028584e",
-        "gev11": "5e5dfcc606e8e4a776703569da15c570c7ebf84f4787f836a64de352d3b7bd44",
+        "gev11": "55becb900c5ada35ad1ca73f0e971bce890cb64487a925d137a6033369106d4a",
     }
 
     @pytest.mark.parametrize("scenario", GRID_DIGESTS)

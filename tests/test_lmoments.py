@@ -393,8 +393,11 @@ class TestCovMatrix3:
             CovMatrix3(np.eye(2), "bootstrap")
         bad = np.eye(3)
         bad[0, 1] = 0.5
-        with pytest.raises(ValueError, match="symmetric"):
-            CovMatrix3(bad, "bootstrap")
+        # the same asymmetry on a matrix of tiny entries, as of data in small units
+        tiny = 1e-14 * np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 1.0], [0.0, 0.0, 2.0]])
+        for matrix in (bad, tiny):
+            with pytest.raises(ValueError, match="symmetric"):
+                CovMatrix3(matrix, "bootstrap")
 
     def test_log_det(self):
         v = CovMatrix3(np.diag([2.0, 3.0, 4.0]), "exact")

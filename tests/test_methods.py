@@ -14,6 +14,7 @@ from glme.errors import (
     PenaltySupportError,
     SampleSizeError,
 )
+from glme.estimators import FIT_MIN_N
 from glme.gev import GevParams, gev_sample, return_level
 from glme.lmoments import COV_MIN_N
 from glme.methods import MethodSpec, parse_method
@@ -213,3 +214,15 @@ class TestMinimumSize:
         model = SimCell("gev11", -0.3, 9).truth_model()
         with pytest.raises(SampleSizeError, match=f"fit_ns_glme needs at least {COV_MIN_N} "):
             parse_method("glme.n.c3").fit_ns(ns_sample(model, 3), model.covariates)
+
+    def test_trend_lme_checks_the_size_first(self, monkeypatch):
+        """``fit_ns_lme`` refuses a 4-point series before any stage runs,
+        naming itself and the minimum."""
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the location regression ran")
+
+        monkeypatch.setattr(nonstationary, "robust_location_fit", must_not_run)
+        model = SimCell("gev11", -0.3, FIT_MIN_N - 1).truth_model()
+        with pytest.raises(SampleSizeError, match=f"fit_ns_lme needs at least {FIT_MIN_N} "):
+            parse_method("lme").fit_ns(ns_sample(model, 3), model.covariates)

@@ -8,15 +8,15 @@ import numpy as np
 import pytest
 
 from glme.errors import ConvergenceError, DegenerateDataError, TransformError
-from glme.estimators import fit_lme
+from glme.estimators import _feasible_scale, fit_lme
 from glme.gev import GevParams, gev_sample, return_level
 from glme.lmoments import GUMBEL_LMOMENTS, CovMatrix3, gumbel_lmoment_cov, sample_lmoments
 from glme.methods import parse_method
 from glme.nonstationary import (
     NsModel,
-    _init_candidates,
     _lmoment_system,
     _median,
+    _newton,
     fit_ns_glme,
     fit_ns_lme,
     gev11_design,
@@ -464,7 +464,7 @@ BITWISE_CASES = [
 
 def _bitwise_slopes_and_points(z, X):
     """The final stage's slopes for a series and points to evaluate it at:
-    the lme solution (or its best point, or the start points when it has
+    the lme solution (or its best point, or the shape-0 start when it has
     none), small and large perturbations of it, shifts of the location
     intercept that leave the support for any shape but 0, and shapes at
     and beyond the box edges."""
@@ -480,8 +480,7 @@ def _bitwise_slopes_and_points(z, X):
             scale_coef = scale_regression(z, X, mu_coef)
         except DegenerateDataError:
             scale_coef = np.zeros_like(mu_coef)
-        cov = X.astype(float)
-        centre = _init_candidates(z, cov, mu_coef, scale_coef)[-1]
+        centre = np.array([mu_coef[0], scale_coef[0], 0.0])
     else:
         mu_coef, scale_coef = lme.model.mu_coef, lme.model.sigma_coef
         centre = np.array([mu_coef[0], scale_coef[0], lme.model.xi])
@@ -563,13 +562,49 @@ class TestZeroWeightLmeShape:
         assert fit.objective_value < SENTINEL
         assert fit.penalty.lower < fit.model.xi < fit.penalty.upper
 
-    def test_infeasible_start_raises(self):
+    def test_mode_start_raises_the_scale(self):
         # at this penalty's mode (about -0.97) the lme intercepts put data
-        # outside the transform's support
+        # outside the transform's support; the raised scale intercept does not
         model = SimCell("gev11", 0.15, 40).truth_model()
         z = ns_sample(model, 23)
-        with pytest.raises(ConvergenceError, match="infeasible"):
-            fit_ns_glme(z, model.covariates, FixedBetaPenalty(6.0, 6.0, -0.99, -0.95))
+        fit = fit_ns_glme(z, model.covariates, FixedBetaPenalty(6.0, 6.0, -0.99, -0.95))
+        assert fit.converged
+        assert -0.99 < fit.model.xi < -0.95
+
+
+class TestShapeZeroStart:
+    """What the one start of ``fit_ns_lme`` is for: gev11 trial seeds of
+    the xi=-0.45, n=40 cell, among seeds 0-29999."""
+
+    MODEL = SimCell("gev11", -0.45, 40).truth_model()
+    # every seed whose L-moment equations have no root once the slopes are fixed
+    NO_ROOT_SEEDS = (3971, 7212, 11517, 12083, 13462, 13757, 15079, 17611, 22212,
+                     23186, 25751, 28379, 28552)
+    # roots at shapes near -0.8 to -0.97 that no start at the L-moment shape reaches
+    FAR_ROOT_SEEDS = (3147, 3799, 3889, 4024, 4174)
+
+    @pytest.mark.parametrize("seed", NO_ROOT_SEEDS)
+    def test_no_root_stalls_typed(self, seed):
+        with pytest.raises(ConvergenceError, match="stalled") as info:
+            fit_ns_lme(ns_sample(self.MODEL, seed), self.MODEL.covariates)
+        assert info.value.best is not None and not info.value.best.converged
+
+    @pytest.mark.parametrize("seed", FAR_ROOT_SEEDS)
+    def test_far_root_found(self, seed):
+        z, X = ns_sample(self.MODEL, seed), self.MODEL.covariates
+        fit = fit_ns_lme(z, X)
+        assert fit.converged and fit.model.xi < -0.75
+        # the same Newton run from the detrended residuals' L-moment shape,
+        # with the scale raised until the data fit, stalls at the box edge
+        mu_coef, scale_coef = fit.stage_diagnostics.location_coef, fit.stage_diagnostics.scale_coef
+        detrended = (z - X @ mu_coef[1:] - mu_coef[0]) / np.exp(X @ scale_coef[1:])
+        xi = fit_lme(detrended).params.xi
+        sigma = _feasible_scale(detrended, 0.0, math.exp(scale_coef[0]), xi)
+        theta = np.array([mu_coef[0], math.log(sigma), xi])
+        evaluate = _lmoment_system(z, X, mu_coef[1:], scale_coef[1:])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            _, norm, _ = _newton(evaluate, theta, *evaluate(theta)[:2])
+        assert norm > 0.1
 
 
 # seeded reference corpus of the final stage: (n, shape) -> series seed
