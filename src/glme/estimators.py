@@ -99,7 +99,7 @@ _SUPPORT_TAU = 0.5
 # (the truncation error is below 1e-16 there)
 _SERIES_T = 0.1
 _SERIES_K = np.arange(20.0)
-_SERIES_COEFS = np.column_stack([
+_SERIES_COEFS = np.array([
     (_SERIES_K + 1.0) / (_SERIES_K + 2.0),
     (_SERIES_K + 1.0) * (_SERIES_K + 2.0) / (_SERIES_K + 3.0),
 ])
@@ -245,35 +245,56 @@ def _nll_value(x: np.ndarray, mu: float, sigma: float, xi: float):
     return (value, z, u, y, e) if math.isfinite(value) else None
 
 
-def _shape_derivatives(z: np.ndarray, u: np.ndarray, y: np.ndarray, xi: float):
-    """First and second derivatives of the reduced variate in the shape.
+def _shape_derivatives(z: np.ndarray, u: np.ndarray, y: np.ndarray, xi: float,
+                       out: np.ndarray) -> np.ndarray:
+    """First and second derivatives of the reduced variate in the shape,
+    written into the two rows of ``out``, which is returned.
 
     The closed forms ``dy/dxi = (z/u - y)/xi`` and
     ``d2y/dxi2 = ((z/u)**2 - 2 dy/dxi)/xi`` lose digits to cancellation as
     ``xi z`` nears 0, so where ``|xi z| < _SERIES_T`` the term-by-term
     derivatives of the series ``y = sum_k xi**k z**(k+1)/(k+1)`` are used
-    instead (the Gumbel case ``xi = 0`` included).
+    instead (the Gumbel case ``xi = 0`` included; there the closed forms
+    are never formed).
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        zu = z / u
-        y1 = (zu - y) / xi
-        y2 = (zu * zu - 2.0 * y1) / xi
+    y1, y2 = out
     t = xi * z
     near = np.abs(t) < _SERIES_T
-    if near.any():
+    n_near = int(np.count_nonzero(near))
+    if n_near < z.size:
+        zu = z / u
+        np.subtract(zu, y, out=y1)
+        y1 /= xi
+        np.multiply(zu, zu, out=y2)
+        y2 -= 2.0 * y1
+        y2 /= xi
+    if n_near:
         tn, zn = t[near], z[near]
-        powers = np.empty((tn.size, _SERIES_COEFS.shape[0]))
-        powers[:, 0] = 1.0
-        powers[:, 1:] = tn[:, None]
-        series = np.cumprod(powers, axis=1) @ _SERIES_COEFS
-        y1[near] = zn * zn * series[:, 0]
-        y2[near] = zn * zn * zn * series[:, 1]
-    return y1, y2
+        powers = np.empty((_SERIES_COEFS.shape[1], n_near))
+        powers[0] = 1.0
+        powers[1:] = tn
+        np.multiply.accumulate(powers, axis=0, out=powers)
+        series = _SERIES_COEFS @ powers
+        series *= zn * zn
+        series[1] *= zn
+        out[:, near] = series
+    return out
 
 
-def _nll_terms(x: np.ndarray, mu: float, sigma: float, xi: float):
-    """Negative log-likelihood (see :func:`_nll_value`) with its gradient
-    and Hessian in ``(mu, sigma, xi)`` (Prescott & Walden 1980).
+def _nll_buffer(n: int) -> np.ndarray:
+    """The ``(11, n)`` work buffer of :func:`_nll_derivatives`, made once
+    per fit: four per-observation rows, then seven weighted rows, the last
+    of which holds ones."""
+    buf = np.empty((11, n))
+    buf[10] = 1.0
+    return buf
+
+
+def _nll_derivatives(nll, sigma: float, xi: float, buf: np.ndarray):
+    """Gradient and Hessian of the negative log-likelihood in
+    ``(mu, sigma, xi)`` (Prescott & Walden 1980), as a list and a list of
+    rows of floats, from the output ``(value, z, u, y, exp(-y))`` of
+    :func:`_nll_value` at that point; None where any is not finite.
 
     With ``u = 1 - xi z``, ``dy/dz = 1/u``, ``d2y/dz2 = xi/u**2`` and
     ``d2y/dz dxi = z/u**2``, so per observation
@@ -283,35 +304,39 @@ def _nll_terms(x: np.ndarray, mu: float, sigma: float, xi: float):
         d2y/dsigma2 = z (1 + u)/(sigma u)**2,
         d2y/dmu dxi = -z/(sigma u**2),  d2y/dsigma dxi = -z**2/(sigma u**2),
 
-    and the shape derivatives come from :func:`_shape_derivatives`.
-    Returns ``(value, gradient, hessian)``, or None outside the support or
-    where any of them is not finite.
+    and the shape derivatives come from :func:`_shape_derivatives`.  Every
+    sum over the observations comes out of one matrix product: the rows
+    ``1/u``, ``z/u``, ``dy/dxi`` and ``d2y/dxi2`` (written into ``buf``, see
+    :func:`_nll_buffer`) against the same rows weighted by ``exp(-y)``
+    (the first three), by ``slope = (1 - xi) - exp(-y)`` (the first two),
+    and by ``slope`` and 1 alone.
     """
-    nll = _nll_value(x, mu, sigma, xi)
-    if nll is None:
+    _, z, u, y, e = nll
+    n = z.size
+    rows, weighted = buf[:4], buf[4:]
+    np.divide(1.0, u, out=rows[0])
+    np.multiply(z, rows[0], out=rows[1])
+    _shape_derivatives(z, u, y, xi, out=rows[2:])
+    # d/dy and d2/dy2 of (1 - xi) y + exp(-y) are slope and e; d2/dy dxi is -1
+    slope = weighted[5]
+    np.subtract(1.0 - xi, e, out=slope)
+    np.multiply(rows[:3], e, out=weighted[:3])
+    np.multiply(rows[:2], slope, out=weighted[3:5])
+    products = (weighted @ rows.T).tolist()
+    e_gram, slope_gram, sums, totals = products[:3], products[3:5], products[5], products[6]
+    sw, swz, swzz = slope_gram[0][0], slope_gram[0][1], slope_gram[1][1]
+    ss = sigma * sigma
+    grad = [-sums[0] / sigma, (n - sums[1]) / sigma, sums[2] - float(y.sum())]
+    hess = [
+        [(e_gram[0][0] + xi * sw) / ss, (e_gram[0][1] + sw) / ss,
+         (totals[0] - e_gram[0][2] - swz) / sigma],
+        [0.0, (e_gram[1][1] + swz + sums[1] - n) / ss, (totals[1] - e_gram[1][2] - swzz) / sigma],
+        [0.0, 0.0, e_gram[2][2] + sums[3] - 2.0 * totals[2]],
+    ]
+    hess[1][0], hess[2][0], hess[2][1] = hess[0][1], hess[0][2], hess[1][2]
+    if not all(map(math.isfinite, grad + hess[0] + hess[1] + hess[2])):
         return None
-    value, z, u, y, e = nll
-    n = x.size
-    y1, y2 = _shape_derivatives(z, u, y, xi)
-    with np.errstate(over="ignore", invalid="ignore"):
-        first = np.stack([-1.0 / (sigma * u), -z / (sigma * u), y1])
-        # d/dy and d2/dy2 of (1 - xi) y + exp(-y) are slope and e; d2/dy dxi is -1
-        slope = (1.0 - xi) - e
-        grad = first @ slope + np.array([0.0, n / sigma, -float(y.sum())])
-        w = slope / (u * u)
-        sw, swz, swzz = float(w.sum()), float(w @ z), float(w @ (z * z))
-        ss = sigma * sigma
-        hess = (first * e) @ first.T + np.array([
-            [xi * sw / ss, sw / ss, -swz / sigma],
-            [sw / ss, (swz + float(w @ (z * u)) - n) / ss, -swzz / sigma],
-            [-swz / sigma, -swzz / sigma, float(slope @ y2)],
-        ])
-        cross = first.sum(axis=1)
-        hess[2] -= cross
-        hess[:, 2] -= cross
-    if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
-        return None
-    return value, grad, hess
+    return grad, hess
 
 
 def gev_neg_loglik(x: np.ndarray, mu: float, sigma: float, xi: float) -> float:
@@ -345,12 +370,16 @@ def _penalized_nll(arr: np.ndarray, penalty):
     """The one likelihood objective of ``fit_mle``, ``fit_gmle`` and the
     ``mle``/``gmle`` profile: negative log-likelihood plus -ln p(xi).
 
-    Returns ``evaluate(mu, sigma, xi) -> (value, gradient, hessian)`` (see
-    :func:`_nll_terms`; the penalty's slope and curvature by central
-    differences), or None outside
-    the shape box or the support, where the penalty gives zero weight, or
-    where the value is not finite.
+    Returns ``evaluate(mu, sigma, xi) -> (value, gradient, hessian, z, u)``
+    (see :func:`_nll_value` and :func:`_nll_derivatives`, which fill one
+    work buffer made here; the penalty's slope and curvature by central
+    differences), with ``z`` and ``u`` the observations' standardized values
+    and distances ``1 - xi z`` to the support's end, or None outside the
+    shape box or the support, where the penalty gives zero weight, or where
+    the value is not finite.  Callers evaluate under one ``np.errstate``
+    that silences overflow and invalid operations.
     """
+    buf = _nll_buffer(arr.size)
 
     def evaluate(mu, sigma, xi):
         if not _XI_LO < xi < _XI_HI:
@@ -358,36 +387,39 @@ def _penalized_nll(arr: np.ndarray, penalty):
         neg_log = penalty.neg_log(xi)
         if neg_log >= SENTINEL:
             return None
-        terms = _nll_terms(arr, mu, sigma, xi)
-        if terms is None:
+        nll = _nll_value(arr, mu, sigma, xi)
+        if nll is None:
             return None
-        value, grad, hess = terms
+        derivatives = _nll_derivatives(nll, sigma, xi, buf)
+        if derivatives is None:
+            return None
+        grad, hess = derivatives
         slope, curvature = _penalty_slopes(penalty, xi)
         grad[2] += slope
-        hess[2, 2] += curvature
-        value += neg_log
-        return (value, grad, hess) if math.isfinite(value) else None
+        hess[2][2] += curvature
+        value = nll[0] + neg_log
+        return (value, grad, hess, nll[1], nll[2]) if math.isfinite(value) else None
 
     return evaluate
 
 
-def _support_reach(arr: np.ndarray, xi: float | None = None):
-    """``reach(theta, step)``: the largest fraction (at most 1) of ``step``
-    that keeps every ``u = 1 - xi (x - mu)/sigma`` above ``_SUPPORT_TAU``
-    times its value at ``theta``, to first order; ``theta`` is
-    ``(mu, sigma, xi)``, or ``(mu, sigma)`` with the shape held at ``xi``."""
+def _support_reach(xi: float | None = None):
+    """``reach(theta, step, current)``: the largest fraction (at most 1) of
+    ``step`` that keeps every ``u = 1 - xi (x - mu)/sigma`` above
+    ``_SUPPORT_TAU`` times its value at ``theta``, to first order; ``theta``
+    is ``(mu, sigma, xi)``, or ``(mu, sigma)`` with the shape held at
+    ``xi``, and ``current``, the evaluation at ``theta``, supplies ``z`` and
+    ``u`` (see :func:`_penalized_nll`)."""
 
-    def reach(theta, step):
-        shape = theta[2] if xi is None else xi
-        dxi = step[2] if xi is None else 0.0
-        sigma = theta[1]
-        z = (arr - theta[0]) / sigma
-        u = 1.0 - shape * z
-        du = -dxi * z + shape * (step[0] + z * step[1]) / sigma
-        shrink = du < 0
-        if not np.any(shrink):
-            return 1.0
-        return min(1.0, float(np.min((1.0 - _SUPPORT_TAU) * u[shrink] / -du[shrink])))
+    def reach(theta, step, current):
+        z, u = current[3], current[4]
+        shape, dxi = (theta[2], step[2]) if xi is None else (xi, 0.0)
+        # du = -dxi z + shape (dmu + z dsigma)/sigma, taken relative to u
+        du = z * (shape * step[1] / theta[1] - dxi)
+        du += shape * step[0] / theta[1]
+        du /= u
+        worst = float(du.min())
+        return min(1.0, (1.0 - _SUPPORT_TAU) / -worst) if worst < 0 else 1.0
 
     return reach
 
@@ -398,92 +430,148 @@ def _shape_held(evaluate, xi: float):
 
     def objective(theta):
         out = evaluate(theta[0], theta[1], xi)
-        return None if out is None else (out[0], out[1][:2], out[2][:2, :2])
+        if out is None:
+            return None
+        value, grad, hess, z, u = out
+        return value, grad[:2], [hess[0][:2], hess[1][:2]], z, u
 
     return objective
 
 
-def _newton_steps(grad: np.ndarray, hess: np.ndarray):
-    """Damped Newton steps at one point, in coordinates scaled so that the
-    Hessian has unit diagonal: ``step(damping)`` is
+def _ldl(m, shift: float):
+    """``m + shift I = L D L^T`` for a symmetric 2x2 or 3x3 ``m`` (rows as
+    lists of floats), in floats: ``(pivots, below)``, the diagonal of ``D``
+    and the entries of ``L`` below its diagonal, row by row.  A pivot is
+    kept at least ``_NEWTON_PD_TOL``, so one that is not positive leaves
+    the factor finite and shows as that floor."""
+    if len(m) == 2:
+        (a, b), (_, c) = m
+        p0 = max(a + shift, _NEWTON_PD_TOL)
+        l10 = b / p0
+        return [p0, max(c + shift - l10 * b, _NEWTON_PD_TOL)], [l10]
+    (a, d, e), (_, b, f), (_, _, c) = m
+    p0 = max(a + shift, _NEWTON_PD_TOL)
+    l10, l20 = d / p0, e / p0
+    p1 = max(b + shift - l10 * d, _NEWTON_PD_TOL)
+    l21 = (f - l20 * d) / p1
+    return [p0, p1, max(c + shift - l20 * e - l21 * l21 * p1, _NEWTON_PD_TOL)], [l10, l20, l21]
+
+
+def _ldl_solve(factor, rhs):
+    """``x`` with ``L D L^T x = rhs`` for the ``factor`` of :func:`_ldl`."""
+    pivots, below = factor
+    if len(rhs) == 2:
+        y1 = rhs[1] - below[0] * rhs[0]
+        x1 = y1 / pivots[1]
+        return [rhs[0] / pivots[0] - below[0] * x1, x1]
+    l10, l20, l21 = below
+    y1 = rhs[1] - l10 * rhs[0]
+    x2 = (rhs[2] - l20 * rhs[0] - l21 * y1) / pivots[2]
+    x1 = y1 / pivots[1] - l21 * x2
+    return [rhs[0] / pivots[0] - l10 * x1 - l20 * x2, x1, x2]
+
+
+def _newton_steps(grad, hess):
+    """Damped Newton steps at one point, in floats, in coordinates scaled
+    so that the Hessian has unit diagonal: ``step(damping)`` is
     ``-(H + damping I)^-1 g``, and ``step(damping, last)`` fixes the step's
     last component at ``last`` and takes the rest of that step given it.
-    Where the matrix solved with is not positive definite, its smallest
-    eigenvalue is first lifted to its own magnitude, or to
-    ``_NEWTON_DAMPING`` if that is larger."""
-    d = np.sqrt(np.abs(np.diag(hess)))
-    d[d == 0] = 1.0
-    scaled = hess / np.outer(d, d)
-    g = grad / d
+    ``grad`` and ``hess`` are a list and a list of rows, of size 2 or 3.
+    Where the matrix solved with is not positive definite (its smallest
+    eigenvalue at most ``_NEWTON_PD_TOL``), that eigenvalue is first lifted
+    to its own magnitude, or to ``_NEWTON_DAMPING`` if that is larger.
 
-    def solve(matrix, rhs, damping):
-        matrix = matrix + damping * np.eye(rhs.size)
-        low = np.linalg.eigvalsh(matrix)[0]
-        if low <= _NEWTON_PD_TOL:
-            matrix += (max(_NEWTON_DAMPING, -low) - low) * np.eye(rhs.size)
-        return np.linalg.solve(matrix, rhs)
+    The system is solved by :func:`_ldl`.  Where every pivot is positive
+    the matrix is positive definite, and the product of its other ``k - 1``
+    eigenvalues is at most ``(trace / (k - 1))**(k - 1)``, so the smallest
+    is at least the determinant, the product of the pivots, over that: when
+    this bound exceeds ``_NEWTON_PD_TOL`` no lift is needed, and only
+    otherwise is the eigenvalue taken from ``np.linalg.eigvalsh``.
+    """
+    d = [math.sqrt(abs(row[i])) or 1.0 for i, row in enumerate(hess)]
+    g = [gi / di for gi, di in zip(grad, d)]
+    scaled = [[hij / (di * dj) for hij, dj in zip(row, d)] for row, di in zip(hess, d)]
+    lowest = {}  # smallest eigenvalue of each system, without damping
+
+    def solve(m, rhs, damping):
+        size = len(rhs)
+        factor = _ldl(m, damping)
+        pivots = factor[0]
+        spread = (sum(row[i] for i, row in enumerate(m)) + size * damping) / (size - 1)
+        if not (min(pivots) > _NEWTON_PD_TOL
+                and math.prod(pivots) > _NEWTON_PD_TOL * spread ** (size - 1)):
+            if size not in lowest:
+                lowest[size] = float(np.linalg.eigvalsh(m)[0])
+            low = lowest[size] + damping
+            if low <= _NEWTON_PD_TOL:
+                factor = _ldl(m, damping + max(_NEWTON_DAMPING, -low) - low)
+        return _ldl_solve(factor, rhs)
 
     def step(damping, last=None):
         if last is None:
-            return -solve(scaled, g, damping) / d
+            return [-x / di for x, di in zip(solve(scaled, g, damping), d)]
         fixed = last * d[-1]
-        rest = -solve(scaled[:-1, :-1], g[:-1] + scaled[:-1, -1] * fixed, damping)
-        return np.append(rest, fixed) / d
+        held = [row[:-1] for row in scaled[:-1]]
+        rhs = [gi + row[-1] * fixed for gi, row in zip(g[:-1], scaled)]
+        return [-x / di for x, di in zip(solve(held, rhs, damping), d)] + [last]
 
     return step
 
 
-def _newton(objective, theta: np.ndarray, current, stops=(), reach=None):
-    """Damped Newton minimization from a feasible point.
+def _newton(objective, theta: list, current, stops=(), reach=None):
+    """Damped Newton minimization from a feasible point, in floats.
 
-    ``objective(theta)`` returns ``(value, gradient, hessian)`` or None
-    where infeasible; ``current`` is its output at ``theta``.  ``stops``
-    are values of the last coordinate that a step may not cross (the edges
-    of the shape box, and shapes where the penalty has a kink): a step that
-    would is cut short with that coordinate exactly on the stop.  A step
-    that fails to lower the value is retried, from a point on a stop, with
-    the last coordinate held there, and otherwise with ten times the
-    Levenberg damping (see :func:`_newton_steps`), which falls tenfold
-    after each accepted step.  Stops, converged, when the relative step is
-    at most ``_NEWTON_XTOL``, or after a step whose decrement
+    ``theta`` is a list of floats; ``objective(theta)`` returns ``(value,
+    gradient, hessian, ...)`` or None where infeasible, and ``current`` is
+    its output at ``theta``.  ``stops`` are values of the last coordinate
+    that a step may not cross (the edges of the shape box, and shapes where
+    the penalty has a kink): a step that would is cut short with that
+    coordinate exactly on the stop.  A step that fails to lower the value
+    is retried, from a point on a stop, with the last coordinate held
+    there, and otherwise with ten times the Levenberg damping (see
+    :func:`_newton_steps`), which falls tenfold after each accepted step.
+    ``reach(theta, step, current)`` shortens a step to the fraction it
+    returns.  Stops, converged, when the relative
+    step is at most ``_NEWTON_XTOL``, or after a step whose decrement
     ``-gradient . step`` was at most ``_NEWTON_FTOL * (1 + |f|)``; not
     converged at the evaluation cap.  Returns ``(theta, current,
     evaluations, converged)``, the start's evaluation counted.
     """
     n_eval, damping = 1, 0.0
     while n_eval < _NEWTON_MAX_EVAL:
-        value, grad, hess = current
-        newton_step = _newton_steps(grad, hess)
+        value, grad = current[0], current[1]
+        newton_step = _newton_steps(grad, current[2])
         last = theta[-1]
 
         def candidate(damping, held=False):
             if held:
                 return newton_step(damping, 0.0), last
             step = newton_step(damping)
-            ahead = [s for s in stops if 0.0 < (s - last) * np.sign(step[-1]) < abs(step[-1])]
+            ahead = [s for s in stops
+                     if 0.0 < (s - last) * math.copysign(1.0, step[-1]) < abs(step[-1])]
             if ahead:
                 target = min(ahead, key=lambda s: abs(s - last))
                 step = newton_step(damping, target - last)
             else:
                 target = None
             if reach is not None:
-                fraction = reach(theta, step)
+                fraction = reach(theta, step, current)
                 if fraction < 1.0:
-                    return fraction * step, None
+                    return [fraction * s for s in step], None
             return step, target
 
-        xtol = _NEWTON_XTOL * (1.0 + np.abs(theta))
+        xtol = [_NEWTON_XTOL * (1.0 + abs(t)) for t in theta]
         held = last in stops
         step, target = candidate(damping, held)
-        if held and np.all(np.abs(step) <= xtol):
+        if held and all(abs(s) <= t for s, t in zip(step, xtol)):
             # converged with the last coordinate on a stop: try leaving it,
             # unless that means leaving the box
             held = False
             step, target = candidate(damping)
             if (last == stops[0] and step[-1] < 0) or (last == stops[-1] and step[-1] > 0):
                 return theta, current, n_eval, True
-        while np.any(np.abs(step) > xtol):
-            point = theta + step
+        while any(abs(s) > t for s, t in zip(step, xtol)):
+            point = [t + s for t, s in zip(theta, step)]
             if target is not None:
                 point[-1] = target
             trial = objective(point)
@@ -496,7 +584,7 @@ def _newton(objective, theta: np.ndarray, current, stops=(), reach=None):
             step, target = candidate(damping, held)
         else:
             return theta, current, n_eval, True
-        decrement = -float(grad @ step)
+        decrement = -sum(gi * si for gi, si in zip(grad, step))
         theta, current = point, trial
         damping = damping / 10.0 if damping > _NEWTON_DAMPING_MIN else 0.0
         if decrement <= _NEWTON_FTOL * (1.0 + abs(current[0])) and theta[-1] not in stops:
@@ -518,13 +606,14 @@ def _fit_likelihood(arr: np.ndarray, penalty, init: GevParams | None,
     runs, n_eval = [], 0
     for xi in shapes:
         sigma = start.sigma if init is not None else _feasible_scale(arr, start.mu, start.sigma, xi)
-        theta = np.array([start.mu, sigma, xi])
-        current = evaluate(*theta)
-        n_eval += 1
-        if current is None:
-            continue
-        theta, current, evals, converged = _newton(
-            lambda theta: evaluate(*theta), theta, current, stops, _support_reach(arr))
+        theta = [float(start.mu), float(sigma), float(xi)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            current = evaluate(*theta)
+            n_eval += 1
+            if current is None:
+                continue
+            theta, current, evals, converged = _newton(
+                lambda theta: evaluate(*theta), theta, current, stops, _support_reach())
         n_eval += evals - 1
         runs.append((not converged, current[0], theta))
     if not runs:
@@ -532,7 +621,7 @@ def _fit_likelihood(arr: np.ndarray, penalty, init: GevParams | None,
                          n_eval, penalty)
         raise ConvergenceError(f"{method}: the starting point is infeasible", best=best)
     failed, value, theta = min(runs, key=lambda run: run[:2])
-    result = FitResult(GevParams(*theta.tolist()), method, value, not failed, n_eval, penalty)
+    result = FitResult(GevParams(*theta), method, value, not failed, n_eval, penalty)
     if failed:
         raise ConvergenceError(f"{method} fit did not converge", best=result)
     return result
@@ -732,12 +821,13 @@ def profile_xi(
     out = []
     for xi in grid.tolist():
         objective = _shape_held(evaluate, xi)
-        theta = np.array([init.mu, _feasible_scale(arr, init.mu, init.sigma, xi)])
-        current = objective(theta)
-        if current is None:
-            out.append(ProfilePoint(xi, -SENTINEL, False))
-            continue
-        _, current, _, converged = _newton(objective, theta, current,
-                                           reach=_support_reach(arr, xi))
+        theta = [float(init.mu), float(_feasible_scale(arr, init.mu, init.sigma, xi))]
+        with np.errstate(over="ignore", invalid="ignore"):
+            current = objective(theta)
+            if current is None:
+                out.append(ProfilePoint(xi, -SENTINEL, False))
+                continue
+            _, current, _, converged = _newton(objective, theta, current,
+                                               reach=_support_reach(xi))
         out.append(ProfilePoint(xi, -current[0], converged))
     return out

@@ -7,9 +7,11 @@ package internals.  The exceptions are ``likelihood_fit_nelder_mead``,
 ``ns_glme_nelder_mead``, references for the *searches* of the
 (penalized) likelihood fit, of the penalty-weighted L-moment fit and of the
 trend model's final stage: they minimize the package's own objectives, by
-brute force; and ``lmoment_system_reference`` and
-``robust_location_fit_reference``, earlier versions of two package
-functions kept verbatim so their rewrites can be checked bit for bit.
+brute force; and ``lmoment_system_reference``,
+``robust_location_fit_reference``, ``nll_terms_reference`` and
+``newton_steps_reference``, earlier versions of package functions kept
+verbatim so their rewrites can be checked against them, bit for bit or to
+a stated tolerance.
 """
 
 import math
@@ -497,3 +499,93 @@ def robust_location_fit_reference(z, X, method="tukey"):
         if done:
             break
     return coef
+
+
+# the series of the reduced variate's shape derivatives in t = xi z: where
+# it replaces the closed forms, and the coefficients of its first 20 terms
+_SERIES_T = 0.1
+_SERIES_K = np.arange(20.0)
+_SERIES_COEFS = np.column_stack([
+    (_SERIES_K + 1.0) / (_SERIES_K + 2.0),
+    (_SERIES_K + 1.0) * (_SERIES_K + 2.0) / (_SERIES_K + 3.0),
+])
+
+
+def _shape_derivatives_reference(z, u, y, xi):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        zu = z / u
+        y1 = (zu - y) / xi
+        y2 = (zu * zu - 2.0 * y1) / xi
+    t = xi * z
+    near = np.abs(t) < _SERIES_T
+    if near.any():
+        tn, zn = t[near], z[near]
+        powers = np.empty((tn.size, _SERIES_COEFS.shape[0]))
+        powers[:, 0] = 1.0
+        powers[:, 1:] = tn[:, None]
+        series = np.cumprod(powers, axis=1) @ _SERIES_COEFS
+        y1[near] = zn * zn * series[:, 0]
+        y2[near] = zn * zn * zn * series[:, 1]
+    return y1, y2
+
+
+def nll_terms_reference(x, mu, sigma, xi):
+    """``glme.estimators._nll_terms`` (with ``_shape_derivatives``) as it
+    stood before its reductions were fused, kept verbatim: the negative
+    log-likelihood with its gradient and Hessian in (mu, sigma, xi), or
+    None outside the support or where any of them is not finite."""
+    from glme.estimators import _nll_value
+
+    nll = _nll_value(x, mu, sigma, xi)
+    if nll is None:
+        return None
+    value, z, u, y, e = nll
+    n = x.size
+    y1, y2 = _shape_derivatives_reference(z, u, y, xi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        first = np.stack([-1.0 / (sigma * u), -z / (sigma * u), y1])
+        # d/dy and d2/dy2 of (1 - xi) y + exp(-y) are slope and e; d2/dy dxi is -1
+        slope = (1.0 - xi) - e
+        grad = first @ slope + np.array([0.0, n / sigma, -float(y.sum())])
+        w = slope / (u * u)
+        sw, swz, swzz = float(w.sum()), float(w @ z), float(w @ (z * z))
+        ss = sigma * sigma
+        hess = (first * e) @ first.T + np.array([
+            [xi * sw / ss, sw / ss, -swz / sigma],
+            [sw / ss, (swz + float(w @ (z * u)) - n) / ss, -swzz / sigma],
+            [-swz / sigma, -swzz / sigma, float(slope @ y2)],
+        ])
+        cross = first.sum(axis=1)
+        hess[2] -= cross
+        hess[:, 2] -= cross
+    if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
+        return None
+    return value, grad, hess
+
+
+def newton_steps_reference(grad, hess):
+    """``glme.estimators._newton_steps`` as it stood before its solves
+    moved to scalar floats, kept verbatim: ``step(damping, last=None)``,
+    the damped Newton step in coordinates scaled to a unit-diagonal
+    Hessian, solved by ``eigvalsh`` and ``solve``."""
+    pd_tol, lift = 1e-12, 1e-3
+    d = np.sqrt(np.abs(np.diag(hess)))
+    d[d == 0] = 1.0
+    scaled = hess / np.outer(d, d)
+    g = grad / d
+
+    def solve(matrix, rhs, damping):
+        matrix = matrix + damping * np.eye(rhs.size)
+        low = np.linalg.eigvalsh(matrix)[0]
+        if low <= pd_tol:
+            matrix += (max(lift, -low) - low) * np.eye(rhs.size)
+        return np.linalg.solve(matrix, rhs)
+
+    def step(damping, last=None):
+        if last is None:
+            return -solve(scaled, g, damping) / d
+        fixed = last * d[-1]
+        rest = -solve(scaled[:-1, :-1], g[:-1] + scaled[:-1, -1] * fixed, damping)
+        return np.append(rest, fixed) / d
+
+    return step

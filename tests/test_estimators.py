@@ -13,11 +13,14 @@ from glme.errors import (
     PenaltySupportError,
     SampleSizeError,
 )
+from glme import estimators
 from glme.estimators import (
     _default_init,
-    _nll_terms,
+    _newton_steps,
+    _nll_buffer,
+    _nll_derivatives,
+    _nll_value,
     _penalized_nll,
-    _shape_derivatives,
     fit_glme,
     fit_gmle,
     fit_lme,
@@ -352,6 +355,24 @@ class TestZeroWeightStart:
         assert err.value.best.objective_value >= SENTINEL
 
 
+def _nll_terms(x, mu, sigma, xi):
+    """The negative log-likelihood with its gradient and Hessian at one
+    point, as ``(value, gradient, hessian)`` arrays, from the fitting
+    kernel; None outside the support or where any is not finite."""
+    nll = _nll_value(x, mu, sigma, xi)
+    if nll is None:
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        derivatives = _nll_derivatives(nll, sigma, xi, _nll_buffer(x.size))
+    if derivatives is None:
+        return None
+    return nll[0], np.array(derivatives[0]), np.array(derivatives[1])
+
+
+def _shape_derivatives(z, u, y, xi):
+    return estimators._shape_derivatives(z, u, y, xi, np.empty((2, z.size)))
+
+
 def _central_differences(x, theta, rel=1e-7):
     """Gradient of the value and Hessian (from the gradient) of
     ``_nll_terms`` by central differences in (mu, sigma, xi)."""
@@ -416,6 +437,131 @@ class TestLikelihoodDerivatives:
     def test_outside_support_is_none(self):
         assert _nll_terms(np.array([0.0, 5.0, 10.0]), 0.0, 1.0, 0.3) is None
         assert _nll_terms(np.array([0.0, 5.0]), 0.0, 0.0, 0.0) is None
+
+
+def _kernel_corpus():
+    """Points of the likelihood kernel's reference corpus, as ``(x, theta)``.
+
+    Shapes at and near the Gumbel limit, on both sides of the series'
+    threshold ``|xi z| = 0.1``, and near the ends of the shape box; samples
+    of 5 to 200 values; for every nonzero shape, the sample's own location
+    and points that put its extreme value at ``u`` = 1e-2 or 1e-6 from the
+    support's end.
+    """
+    points = []
+    for i, (n, xi) in enumerate((n, xi) for n in (5, 12, 50, 200)
+                                for xi in (0.0, 1e-7, -1e-7, 0.05, -0.05, 0.45, -0.45, 0.95, -0.95)):
+        x = gev_sample(GevParams(100.0, 30.0, float(np.clip(xi, -0.45, 0.45))), n, seed=9600 + i)
+        points.append((x, np.array([100.0, 30.0, xi])))
+        points.append((x, np.array([80.0, 45.0, xi])))
+        if xi != 0.0:
+            edge = x.max() if xi > 0 else x.min()
+            for u_min in (1e-2, 1e-6):
+                points.append((x, np.array([edge - 30.0 * (1.0 - u_min) / xi, 30.0, xi])))
+    return points
+
+
+def _unit_diagonal(hess):
+    d = np.sqrt(np.abs(np.diag(hess)))
+    d[d == 0] = 1.0
+    return hess / np.outer(d, d)
+
+
+def _solved_system(grad, hess, damping, last):
+    """The scaled system that the reference Newton step solves, as
+    ``(matrix, rhs, d)``: the unit-diagonal Hessian (its leading block when
+    the last component is fixed at ``last``), damped and, where not
+    positive definite, lifted, with the step ``-x / d`` for its solution
+    ``x``."""
+    d = np.sqrt(np.abs(np.diag(hess)))
+    d[d == 0] = 1.0
+    scaled, rhs = hess / np.outer(d, d), grad / d
+    if last is not None:
+        rhs = rhs[:-1] + scaled[:-1, -1] * last * d[-1]
+        scaled, d = scaled[:-1, :-1], d[:-1]
+    matrix = scaled + damping * np.eye(rhs.size)
+    low = np.linalg.eigvalsh(matrix)[0]
+    if low <= 1e-12:
+        matrix += (max(1e-3, -low) - low) * np.eye(rhs.size)
+    return matrix, rhs, d
+
+
+class TestKernelAgainstReference:
+    """The fused likelihood kernel and the scalar Newton step against their
+    earlier forms, kept verbatim in ``_oracles``."""
+
+    def test_value_gradient_and_hessian(self):
+        from _oracles import nll_terms_reference
+
+        problems, sides, n_none = [], set(), 0
+        for x, theta in _kernel_corpus():
+            got, want = _nll_terms(x, *theta), nll_terms_reference(x, *theta)
+            case = f"n={x.size} theta={theta.tolist()}"
+            if got is None or want is None:
+                n_none += 1
+                if (got is None) != (want is None):
+                    problems.append(f"{case}: None differs")
+                continue
+            t = np.abs(theta[2] * (x - theta[0]) / theta[1])
+            sides.update({"near"} if np.all(t < 0.1) else {"far"} if np.all(t >= 0.1) else
+                         {"near", "far"})
+            if got[0] != want[0]:
+                problems.append(f"{case}: value {got[0]!r} != {want[0]!r}")
+            for name, a, b in (("gradient", got[1], want[1]), ("hessian", got[2], want[2])):
+                err = np.max(np.abs(a - b)) / (1.0 + np.max(np.abs(b)))
+                if err > 1e-12:
+                    problems.append(f"{case}: {name} off by {err:.3g}")
+        assert not problems, "\n".join(problems)
+        assert sides == {"near", "far"} and n_none < 20
+
+    def test_newton_steps(self):
+        from _oracles import newton_steps_reference, nll_terms_reference
+
+        # an indefinite Hessian whose two smaller eigenvalues nearly meet,
+        # positive definite ones just above and below the lift threshold
+        # (where the pivots' bound on the smallest eigenvalue is too weak to
+        # decide), and the likelihood's own Hessians, 2x2 included
+        q, _ = np.linalg.qr(np.random.default_rng(1).normal(size=(3, 3)))
+        cases = [(np.array([0.3, -1.0, 2.0]), (q * eig) @ q.T)
+                 for eig in ([-2e-3, -1.9e-3, 2.5], [2e-12, 1e-2, 3.0], [5e-13, 1e-2, 3.0])]
+        for x, theta in _kernel_corpus():
+            terms = nll_terms_reference(x, *theta)
+            if terms is not None:
+                cases += [terms[1:], (terms[1][:2], terms[2][:2, :2])]
+        problems, lifted, compared, backward = [], 0, 0, 0
+        for grad, hess in cases:
+            step = _newton_steps(grad.tolist(), hess.tolist())
+            reference = newton_steps_reference(grad, hess)
+            for damping in (0.0, 1e-2):
+                for last in (None, 0.0, 0.01)[:3 if grad.size == 3 else 1]:
+                    got = np.array(step(damping, last))
+                    case = f"damping={damping} last={last}\n{hess}"
+                    if not np.all(np.isfinite(got)):
+                        problems.append(f"{case}: not finite")
+                        continue
+                    matrix, rhs, d = _solved_system(grad, hess, damping, last)
+                    eig = np.linalg.eigvalsh(matrix)
+                    if eig[-1] / eig[0] <= 1e6:
+                        # two backward-stable solves agree to about the
+                        # condition number times the rounding unit
+                        want = reference(damping, last)
+                        err = np.max(np.abs(got - want)) / (1e-300 + np.max(np.abs(want)))
+                        if not err <= 1e-9:
+                            problems.append(f"{case}: off by {err:.3g}")
+                        compared += 1
+                    else:
+                        # beyond that only the normwise backward error of
+                        # the solve, in the system the reference solves,
+                        # is small for both
+                        x = -got[:d.size] * d
+                        err = np.linalg.norm(matrix @ x - rhs) / (
+                            np.linalg.norm(matrix, 2) * np.linalg.norm(x) + np.linalg.norm(rhs))
+                        if not err <= 1e-14:
+                            problems.append(f"{case}: backward error {err:.3g}")
+                        backward += 1
+            lifted += np.linalg.eigvalsh(_unit_diagonal(hess))[0] <= 1e-12
+        assert not problems, "\n".join(problems)
+        assert lifted >= 100 and compared >= 900 and backward >= 20
 
 
 # (n, shape) cells of the likelihood reference corpus, each with its sample seed
@@ -558,6 +704,55 @@ class TestTiedSamples:
         assert np.unique(x).size == 9
         fit = parse_method(name).fit_stationary(x)
         assert fit.converged and fit.params.sigma > 1.0
+
+    # three distinct values: the likelihood still runs off to sigma -> 0 at
+    # the lower edge of the shape box, so the unpenalized and normal-penalty
+    # likelihood fits exhaust their evaluation caps, while the L-moment fits
+    # and a beta penalty bounded away from -1 converge.  This pins the current
+    # behaviour; which of these a fit should reject is still open (ROADMAP
+    # item 4).
+    THREE_VALUES = [0.0] * 10 + [1.0] * 6 + [2.0] * 4
+
+    @pytest.mark.parametrize("name", ["mle", "gmle.n.c2"])
+    def test_three_values_stall_the_likelihood(self, name):
+        with pytest.raises(ConvergenceError, match="did not converge") as err:
+            parse_method(name).fit_stationary(self.THREE_VALUES)
+        best = err.value.best
+        assert best.params.xi == pytest.approx(-1.0, abs=1e-7)
+        assert best.params.sigma < 1e-4
+
+    @pytest.mark.parametrize("name", ["lme", "glme.b.c1", "gmle.b.c6"])
+    def test_three_values_fit(self, name):
+        fit = parse_method(name).fit_stationary(self.THREE_VALUES)
+        assert fit.converged and 0.3 < fit.params.sigma < 0.6
+
+
+class TestEquivariance:
+    """A fit commutes with a change of units: the fit of ``a + c x`` is
+    ``(a + c mu, c sigma, xi)``.  The error is the worst of ``|dxi|``,
+    ``|dmu|/sigma`` and ``|dsigma|/sigma``; the trend fits are not covered
+    (ROADMAP item 10)."""
+
+    TOL = 1e-6
+    SAMPLES = [gev_sample(GevParams(100.0, 30.0, xi), 30, seed=9700 + i)
+               for i, xi in enumerate((-0.45, -0.3, -0.15, 0.0, 0.15, 0.3) * 2)]
+    SCALES = (1e-9, 1e-6, 1e-3, 1e3, 1e6, 1e9)
+    SPREADS = (1e5, 1e7)  # offsets, in units of the sample's range
+
+    @pytest.mark.parametrize("name", ["mle", "gmle.b.c6", "gmle.n.c2", "lme", "glme",
+                                      "glme.b.c1", "glme.n.c3", "glme.cd"])
+    def test_units(self, name):
+        method = parse_method(name)
+        worst = 0.0
+        for x in self.SAMPLES:
+            base = method.fit_stationary(x).params
+            changes = [(0.0, c) for c in self.SCALES] + [(k * np.ptp(x), 1.0) for k in self.SPREADS]
+            for a, c in changes:
+                fit = method.fit_stationary(a + c * x).params
+                scale = c * base.sigma
+                worst = max(worst, abs(fit.xi - base.xi), abs(fit.mu - (a + c * base.mu)) / scale,
+                            abs(fit.sigma - scale) / scale)
+        assert worst <= self.TOL
 
 
 FLOOD_ROWS = [
