@@ -8,6 +8,7 @@ from .errors import (
     LSkewnessError,
     PenaltySupportError,
     SampleSizeError,
+    ShapeEdgeError,
     TransformError,
 )
 from .estimators import FitResult, fit_glme, fit_gmle, fit_lme, fit_mle, profile_xi

@@ -100,6 +100,8 @@ def read_dataset(path) -> Dataset:
         if name == "value":
             values = arr
         elif name == "year":
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{path}: year column must be finite")
             if np.any(arr != np.round(arr)):
                 raise ValueError(f"{path}: year column must hold integers")
             year = arr.astype(int)

@@ -9,6 +9,7 @@ __all__ = [
     "LSkewnessError",
     "PenaltySupportError",
     "SampleSizeError",
+    "ShapeEdgeError",
     "TransformError",
 ]
 
@@ -19,6 +20,12 @@ class ConvergenceError(RuntimeError):
     def __init__(self, message, best=None):
         super().__init__(message)
         self.best = best
+
+
+class ShapeEdgeError(ConvergenceError):
+    """L-moment matching stalled with the shape at the lower edge of the
+    shape box, where the GEV L-moments cease to exist: the equations' root,
+    if there is one, lies below it.  ``best`` is the point at the edge."""
 
 
 class DegenerateDataError(ValueError):

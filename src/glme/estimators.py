@@ -47,7 +47,6 @@ from .lmoments import (
     CovMatrix3,
     LMomentTriple,
     _lmoment_coefs,
-    gev_lmoment_coefs,
     gev_population_lmoments,
     gld,
     lmoment_cov,
@@ -663,10 +662,11 @@ def _objective_const(V: CovMatrix3) -> float:
 
 
 def _glme_value(l: LMomentTriple, V: CovMatrix3, const, mu, sigma, xi, penalty, alpha_n):
-    if sigma <= 0 or not _XI_LO < xi < _XI_HI:
+    neg_log = penalty.neg_log(xi) if alpha_n != 0 else 0.0
+    if sigma <= 0 or not _XI_LO < xi < _XI_HI or neg_log >= SENTINEL:
         return SENTINEL
     lam = gev_population_lmoments(GevParams(mu, sigma, xi))
-    val = 0.5 * gld(lam, l, V) + alpha_n * penalty.neg_log(xi) + const
+    val = 0.5 * gld(lam, l, V) + alpha_n * neg_log + const
     return val if math.isfinite(val) else SENTINEL
 
 
@@ -675,7 +675,10 @@ def glme_objective(x, V: CovMatrix3, params: GevParams, penalty=FlatPenalty(),
     """Penalized negative log of the normal approximation at ``params``.
 
     Equals ``gld/2 + alpha_n * (-ln p(xi)) + C`` where the constant
-    ``C = 1.5*log(2*pi) + 0.5*log det V`` does not depend on the parameters.
+    ``C = 1.5*log(2*pi) + 0.5*log det V`` does not depend on the parameters;
+    SENTINEL where the scale is not positive, the shape is outside the box,
+    the value is not finite, or (with ``alpha_n != 0``) the penalty gives
+    the shape zero weight.
     """
     l = sample_lmoments(np.asarray(x, dtype=float))
     return _glme_value(l, V, _objective_const(V), params.mu, params.sigma, params.xi,
@@ -690,32 +693,41 @@ def _glme_profile(l: LMomentTriple, V: CovMatrix3, const: float, penalty, alpha_
     (mu, sigma) is a weighted least-squares fit.  It is solved in the
     coordinates whitened by the cached Cholesky factor of ``V``, location
     direction first, so residuals (not their normal equations) are formed.
+    Everything that does not depend on the shape is taken out as floats
+    here, once; each shape then costs :func:`_lmoment_coefs` and a few
+    dozen float operations.
 
-    Returns ``profile(xi) -> (mu, sigma, value)`` for an array of shapes.
-    ``value`` follows the rules of :func:`_glme_value`: SENTINEL outside the
-    shape box, where the scale comes out nonpositive, or where the value is
-    not finite; a zero penalty weight adds ``alpha_n * SENTINEL``.
+    Returns ``profile(xi) -> (mu, sigma, value)`` for one shape.  ``value``
+    follows the rules of :func:`_glme_value`: SENTINEL outside the shape
+    box, where ``alpha_n != 0`` and the penalty gives the shape zero weight,
+    where the scale comes out nonpositive, or where the value is not
+    finite; ``mu`` and ``sigma`` are nan where either of the first two
+    applies.
     """
-    L_inv = V.whiten(np.eye(3))
-    u = L_inv[:, 0]
-    b = L_inv @ l.as_array()
-    uu = u @ u
-    ub = u @ b
-    b_perp = b - (ub / uu) * u
+    (p00, _, _), (p10, p11, _), (p20, p21, p22) = V.whiten(np.eye(3)).tolist()
+    b0, b1, b2 = p00 * l.l1, p10 * l.l1 + p11 * l.l2, p20 * l.l1 + p21 * l.l2 + p22 * l.l3
+    # the whitened location direction u, and b with its u-component removed
+    uu = p00 * p00 + p10 * p10 + p20 * p20
+    ub = p00 * b0 + p10 * b1 + p20 * b2
+    k = ub / uu
+    c0, c1, c2 = b0 - k * p00, b1 - k * p10, b2 - k * p20
 
     def profile(xi):
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        inside = (_XI_LO < xi) & (xi < _XI_HI)
-        v = L_inv @ gev_lmoment_coefs(np.where(inside, xi, 0.0)).T
-        uv = u @ v
-        v_perp = v - np.outer(u, uv / uu)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            sigma = (b_perp @ v_perp) / np.sum(v_perp * v_perp, axis=0)
-            mu = (ub - sigma * uv) / uu
-            r = b_perp[:, None] - sigma * v_perp
-            penalty_term = np.array([penalty.neg_log(t) for t in xi.tolist()])
-            value = 0.5 * np.sum(r * r, axis=0) + alpha_n * penalty_term + const
-        value[~inside | ~(sigma > 0) | ~np.isfinite(value)] = SENTINEL
+        neg_log = penalty.neg_log(xi) if alpha_n != 0 else 0.0
+        if not _XI_LO < xi < _XI_HI or neg_log >= SENTINEL:
+            return math.nan, math.nan, SENTINEL
+        a1, a2, a3 = _lmoment_coefs(xi)
+        # the whitened scale direction v, and v with its u-component removed
+        v0, v1, v2 = p00 * a1, p10 * a1 + p11 * a2, p20 * a1 + p21 * a2 + p22 * a3
+        uv = p00 * v0 + p10 * v1 + p20 * v2
+        k = uv / uu
+        w0, w1, w2 = v0 - k * p00, v1 - k * p10, v2 - k * p20
+        sigma = (c0 * w0 + c1 * w1 + c2 * w2) / (w0 * w0 + w1 * w1 + w2 * w2)
+        mu = (ub - sigma * uv) / uu
+        r0, r1, r2 = c0 - sigma * w0, c1 - sigma * w1, c2 - sigma * w2
+        value = 0.5 * (r0 * r0 + r1 * r1 + r2 * r2) + alpha_n * neg_log + const
+        if not (sigma > 0 and math.isfinite(value)):
+            value = SENTINEL
         return mu, sigma, value
 
     return profile
@@ -756,19 +768,19 @@ def fit_glme(
     lo, hi = _XI_LO, _XI_HI
     if alpha_n != 0:
         lo, hi = max(lo, penalty.support[0]), min(hi, penalty.support[1])
-    grid = np.linspace(lo, hi, _GLME_GRID)
-    values = profile(grid)[2]
-    k = int(np.argmin(values))
+    grid = np.linspace(lo, hi, _GLME_GRID).tolist()
+    values = [profile(t)[2] for t in grid]
+    k = min(range(len(grid)), key=values.__getitem__)
     if values[k] >= SENTINEL:
         raise ConvergenceError(f"{method}: no feasible shape in ({lo:g}, {hi:g})")
-    res = brent(lambda t: float(profile(t)[2][0]), grid[max(k - 1, 0)],
-                grid[min(k + 1, grid.size - 1)], xtol=_GLME_XTOL)
-    xi = float(res.x if res.fun <= values[k] else grid[k])
+    res = brent(lambda t: profile(t)[2], grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)],
+                xtol=_GLME_XTOL)
+    xi = res.x if res.fun <= values[k] else grid[k]
     mu, sigma, _ = profile(xi)
-    params = GevParams(float(mu[0]), float(sigma[0]), xi)
-    value = _glme_value(l, V, const, *params.as_tuple(), penalty, alpha_n)
-    converged = bool(res.converged and value < SENTINEL)
-    result = FitResult(params, method, value, converged, grid.size + res.n_eval, penalty,
+    params = GevParams(mu, sigma, xi)
+    value = _glme_value(l, V, const, mu, sigma, xi, penalty, alpha_n)
+    converged = res.converged and value < SENTINEL
+    result = FitResult(params, method, value, converged, len(grid) + res.n_eval, penalty,
                        alpha_n)
     if not converged:
         raise ConvergenceError(f"{method} fit did not converge", best=result)
@@ -787,12 +799,11 @@ def profile_xi(
 
     For ``lme``/``glme`` the maximum is exact: location and scale come from
     the closed-form weighted least-squares profile that ``fit_glme``
-    searches, weighted by the default (exact bootstrap) covariance and
-    evaluated on the whole grid at once.  For ``mle``/``gmle``,
-    whose (location, scale) profile has no closed form, the likelihood
-    fits' damped Newton solver runs over (location, scale) at each grid
-    value, from the default start with its scale widened until every
-    observation lies inside the support.  Grid points that are infeasible,
+    searches, weighted by the default (exact bootstrap) covariance.  For
+    ``mle``/``gmle``, whose (location, scale) profile has no closed form,
+    the likelihood fits' damped Newton solver runs over (location, scale)
+    at each grid value, from the default start with its scale widened until
+    every observation lies inside the support.  Grid points that are infeasible,
     or where the inner search fails, are flagged, not fatal.
     """
     # the lme/glme curve needs the covariance
@@ -812,9 +823,9 @@ def profile_xi(
     if method in ("lme", "glme"):
         V = lmoment_cov(arr)
         profile = _glme_profile(sample_lmoments(arr), V, _objective_const(V), penalty, alpha_n)
-        values = profile(grid)[2]
-        return [ProfilePoint(float(xi), -float(v), bool(v < SENTINEL))
-                for xi, v in zip(grid, values)]
+        shapes = grid.tolist()
+        values = [profile(xi)[2] for xi in shapes]
+        return [ProfilePoint(xi, -v, v < SENTINEL) for xi, v in zip(shapes, values)]
 
     evaluate = _penalized_nll(arr, penalty)
     init = _default_init(arr, lme)

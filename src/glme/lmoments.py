@@ -30,7 +30,6 @@ __all__ = [
     "LMomentTriple",
     "CovMatrix3",
     "sample_lmoments",
-    "gev_lmoment_coefs",
     "gev_population_lmoments",
     "gumbel_population_lmoments",
     "lmoment_cov",
@@ -149,23 +148,16 @@ def sample_lmoments(x, order: int = 3) -> LMomentTriple:
     return LMomentTriple(float(lm[0]), float(lm[1]), float(lm[2]))
 
 
-def gev_lmoment_coefs(xi) -> np.ndarray:
-    """Scale coefficients ``(a1, a2, a3)`` of the GEV L-moments, one row per shape.
+def _lmoment_coefs(xi: float) -> tuple[float, float, float]:
+    """Scale coefficients ``(a1, a2, a3)`` of the GEV L-moments at one shape.
 
     For fixed shape the first three L-moments are linear in location and
     scale: ``lambda = mu * (1, 0, 0) + sigma * (a1, a2, a3)`` (Hosking 1990),
     with ``a1 = (1 - g)/xi``, ``a2 = (1 - 2**-xi) g/xi``, ``a3 = tau3 * a2``
     and ``g = Gamma(1 + xi)``; shapes with ``|xi| < XI_EPS`` take the Gumbel
-    limit.  ``xi`` is a scalar or 1-D array of shapes above -1; the result
-    has shape ``(..., 3)``.
+    limit.  ``xi`` is a float above -1; math.gamma and plain float
+    arithmetic, with no array overhead.
     """
-    xi = np.asarray(xi, dtype=float)
-    return np.array([_lmoment_coefs(x) for x in xi.ravel().tolist()]).reshape(*xi.shape, 3)
-
-
-def _lmoment_coefs(xi: float) -> tuple[float, float, float]:
-    """The coefficients of :func:`gev_lmoment_coefs` for one shape, as floats;
-    math.gamma and plain float arithmetic, with no array overhead."""
     if abs(xi) < XI_EPS:
         return GUMBEL_LMOMENTS
     g = math.gamma(1.0 + xi)

@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 
 from . import estimators, nonstationary
-from .errors import FIT_FAILURES, LSkewnessError
+from .errors import FIT_FAILURES, LSkewnessError, ShapeEdgeError
 from .estimators import FIT_MIN_N
 from .lmoments import COV_MIN_N
 from .penalties import (
@@ -93,7 +93,8 @@ class MethodSpec:
                alpha_n: float = 1.0, memo: dict | None = None):
         """Fit the trend model to ``z`` on covariates ``X``; ``memo`` keeps
         the trend L-moment fit per ``(location_method, refine)`` as in
-        :meth:`fit_stationary`."""
+        :meth:`fit_stationary`.  glme starts from that fit, or, where it
+        stalls at the shape box's lower edge, from the point it stopped at."""
         if not self.supports_nonstationary:
             raise ValueError(f"method {self.name!r} is not available for covariate models")
 
@@ -104,9 +105,15 @@ class MethodSpec:
 
         if self.kind == "lme":
             return lme()
+        start = None
+        if memo is not None:
+            try:
+                start = lme()
+            except ShapeEdgeError as stall:
+                start = stall.best
         return nonstationary.fit_ns_glme(
             z, X, self.penalty, alpha_n=alpha_n, location_method=location_method, refine=refine,
-            lme=lme() if memo is not None else None,
+            lme=start,
         )
 
 

@@ -27,7 +27,13 @@ import numpy as np
 
 # unused here; perfbench/tracing.py patches glme.nonstationary.nelder_mead by name
 from ._optim import nelder_mead  # noqa: F401
-from .errors import ConvergenceError, DegenerateDataError, SampleSizeError, TransformError
+from .errors import (
+    ConvergenceError,
+    DegenerateDataError,
+    SampleSizeError,
+    ShapeEdgeError,
+    TransformError,
+)
 from .estimators import (
     _XI_HI,
     _XI_LO,
@@ -69,10 +75,13 @@ __all__ = [
 _GUMBEL_LAMBDA = gumbel_population_lmoments().as_array()
 
 # fit_ns_lme's Newton solve: residual norm at which it stops, iteration cap,
-# and step halvings tried per iteration
+# step halvings tried per iteration, and the distance from the lower shape
+# edge within which a stall counts as stopped by the edge (the stalls seen
+# on gev11 trials stop within 1e-10 of it)
 _ROOT_TOL = 1e-12
 _NEWTON_ITER = 50
 _HALVINGS = 30
+_EDGE_TOL = 1e-9
 
 # fit_ns_glme's Levenberg-Marquardt search: initial and smallest damping,
 # relative-step and objective-decrease tolerances, and evaluation cap
@@ -393,7 +402,10 @@ def fit_ns_lme(z, X, location_method: str = "tukey", refine: bool = False) -> Ns
     exact Jacobian (see :func:`_lmoment_system`) from one start: the
     location intercept, the log-scale regression intercept and shape 0,
     where the transform has no support bound, so the start is feasible for
-    every series.  A residual norm below 1e-8 counts as converged.
+    every series.  A residual norm below 1e-8 counts as converged; a solve
+    that stalls with its shape at the box's lower edge raises
+    :class:`~glme.errors.ShapeEdgeError`, any other stall
+    :class:`~glme.errors.ConvergenceError`.
     ``iterations`` counts the evaluations of the equations.  With
     ``refine`` the scale regression and the matching stage run a second
     time using the location intercept found by the first pass.  The fit
@@ -430,11 +442,12 @@ def _fit_ns_lme_once(z, X, location_method, mu_coef) -> NsFitResult:
         cov,
     )
     result = NsFitResult(model, "lme", norm, norm < 1e-8, 1 + n_eval, diag)
-    if not result.converged:
-        raise ConvergenceError(
-            f"L-moment matching stalled at residual norm {norm:.3g}", best=result
-        )
-    return result
+    if result.converged:
+        return result
+    message = f"L-moment matching stalled at residual norm {norm:.3g}"
+    if theta[2] - _XI_LO < _EDGE_TOL:
+        raise ShapeEdgeError(f"{message} with the shape at the box's lower edge", best=result)
+    raise ConvergenceError(message, best=result)
 
 
 def _pinned_step(lhs, grad, mu0_step: float) -> np.ndarray:
@@ -518,7 +531,9 @@ def fit_ns_glme(
     Starts from ``lme``, the :func:`fit_ns_lme` fit of the same series with
     the same ``location_method`` and ``refine`` (computed here when not
     given), and reuses its slopes; an :class:`AdaptiveBetaRequest` penalty
-    is built from that fit's shape.
+    is built from that fit's shape.  Where that fit stalls at the shape
+    box's lower edge (:class:`~glme.errors.ShapeEdgeError`), the point it
+    stopped at serves as ``lme`` instead.
     When the penalty gives that shape zero weight, the search starts at
     the penalty's mode instead, with the scale intercept raised where
     needed so that every observation lies inside the transform's support
@@ -536,7 +551,10 @@ def fit_ns_glme(
             f"fit_ns_glme needs at least {COV_MIN_N} observations for the Gumbel "
             f"L-moment covariance, got {z.size}")
     if lme is None:
-        lme = fit_ns_lme(z, X, location_method=location_method, refine=refine)
+        try:
+            lme = fit_ns_lme(z, X, location_method=location_method, refine=refine)
+        except ShapeEdgeError as stall:
+            lme = stall.best
     if isinstance(penalty, AdaptiveBetaRequest):
         penalty = penalty.build(lme.model.xi)
     method = "glme" if isinstance(penalty, FlatPenalty) else f"glme.{penalty.label}"

@@ -8,8 +8,9 @@ package internals.  The exceptions are ``likelihood_fit_nelder_mead``,
 (penalized) likelihood fit, of the penalty-weighted L-moment fit and of the
 trend model's final stage: they minimize the package's own objectives, by
 brute force; and ``lmoment_system_reference``,
-``robust_location_fit_reference``, ``nll_terms_reference`` and
-``newton_steps_reference``, earlier versions of package functions kept
+``robust_location_fit_reference``, ``nll_terms_reference``,
+``newton_steps_reference``, ``gev_lmoment_coefs_reference`` and
+``glme_profile_reference``, earlier versions of package functions kept
 verbatim so their rewrites can be checked against them, bit for bit or to
 a stated tolerance.
 """
@@ -589,3 +590,46 @@ def newton_steps_reference(grad, hess):
         return np.append(rest, fixed) / d
 
     return step
+
+
+def gev_lmoment_coefs_reference(xi) -> np.ndarray:
+    """``glme.lmoments.gev_lmoment_coefs`` as it stood before the GLME
+    profile moved to scalar floats, kept verbatim: the coefficients
+    ``(a1, a2, a3)`` of ``_lmoment_coefs``, one row per shape."""
+    from glme.lmoments import _lmoment_coefs
+
+    xi = np.asarray(xi, dtype=float)
+    return np.array([_lmoment_coefs(x) for x in xi.ravel().tolist()]).reshape(*xi.shape, 3)
+
+
+def glme_profile_reference(l, V, const, penalty, alpha_n):
+    """``glme.estimators._glme_profile`` as it stood before it moved to
+    scalar floats, kept verbatim: ``profile(xi) -> (mu, sigma, value)`` for
+    an array of shapes, with a zero penalty weight adding
+    ``alpha_n * SENTINEL``."""
+    from glme.estimators import _XI_HI, _XI_LO
+    from glme.penalties import SENTINEL
+
+    L_inv = V.whiten(np.eye(3))
+    u = L_inv[:, 0]
+    b = L_inv @ l.as_array()
+    uu = u @ u
+    ub = u @ b
+    b_perp = b - (ub / uu) * u
+
+    def profile(xi):
+        xi = np.atleast_1d(np.asarray(xi, dtype=float))
+        inside = (_XI_LO < xi) & (xi < _XI_HI)
+        v = L_inv @ gev_lmoment_coefs_reference(np.where(inside, xi, 0.0)).T
+        uv = u @ v
+        v_perp = v - np.outer(u, uv / uu)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            sigma = (b_perp @ v_perp) / np.sum(v_perp * v_perp, axis=0)
+            mu = (ub - sigma * uv) / uu
+            r = b_perp[:, None] - sigma * v_perp
+            penalty_term = np.array([penalty.neg_log(t) for t in xi.tolist()])
+            value = 0.5 * np.sum(r * r, axis=0) + alpha_n * penalty_term + const
+        value[~inside | ~(sigma > 0) | ~np.isfinite(value)] = SENTINEL
+        return mu, sigma, value
+
+    return profile

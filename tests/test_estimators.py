@@ -29,7 +29,7 @@ from glme.estimators import (
     glme_objective,
     profile_xi,
 )
-from glme.gev import GevParams, gev_sample, return_level
+from glme.gev import XI_EPS, GevParams, gev_sample, return_level
 from glme.lmoments import lmoment_cov, sample_lmoments
 from glme.methods import parse_method
 from glme.penalties import (
@@ -182,6 +182,16 @@ class TestGlmeObjective:
         assert glme_objective(x, V, GevParams(0.0, 1.0, -0.9999999)) < SENTINEL
         assert glme_objective(x, V, GevParams(0.0, 1.0, 0.0)) < SENTINEL
 
+    @pytest.mark.parametrize("alpha_n", [0.5, 1.0, 2.0])
+    def test_zero_weight_shape_is_sentinel_for_any_weight(self, alpha_n):
+        # below 1, alpha_n * SENTINEL alone would fall under SENTINEL
+        x = gev_sample(GevParams(100.0, 30.0, -0.2), 60, seed=7)
+        V, penalty = lmoment_cov(x), FixedBetaPenalty.from_preset("ms")
+        lme = fit_lme(x).params
+        outside = GevParams(lme.mu, lme.sigma, -0.6)
+        assert glme_objective(x, V, outside, penalty, alpha_n) == SENTINEL
+        assert glme_objective(x, V, outside, penalty, 0.0) < SENTINEL
+
 
 class TestFitGlme:
     def test_flat_penalty_recovers_lme(self):
@@ -323,6 +333,61 @@ class TestGlmeAgainstNelderMead:
                     if gap > 1e-6:
                         problems.append(f"{case}: scaled parameter gap {gap:.3g}")
         assert not problems, "\n".join(problems)
+
+
+class TestGlmeProfileAgainstReference:
+    """The scalar GLME profile against its former array form, kept verbatim
+    in ``_oracles``: shapes across the box and just outside it, the Gumbel
+    band, reflected samples (whose profile scale turns nonpositive over
+    part of the box), four penalty families and both covariances."""
+
+    SHAPES = np.concatenate([
+        np.linspace(-0.999, 0.999, 121),
+        np.linspace(estimators._XI_LO, estimators._XI_HI, estimators._GLME_GRID),
+        [s * XI_EPS * f for s in (-1.0, 1.0) for f in (0.5, 1.0 - 1e-3, 1.0, 1.0 + 1e-3)],
+        [0.0, -(1.0 - 1e-8), 1.0 - 1e-8, -1.0, 1.0, estimators._XI_LO_IN,
+         estimators._XI_HI_IN],
+    ])
+    PENALTIES = [FlatPenalty(), FixedBetaPenalty.from_preset("ms"),
+                 NormalPenalty.from_choice(2), ColesDixonPenalty()]
+
+    @pytest.mark.parametrize("cov", ["bootstrap", "exact"])
+    def test_corpus(self, cov):
+        from _oracles import glme_profile_reference
+
+        problems, n_feasible, n_nonpositive = [], 0, 0
+        for xi0, seed, sign in [(-0.45, 9201, 1.0), (0.0, 9202, 1.0), (0.3, 9203, 1.0),
+                                (-0.45, 9208, -1.0), (0.3, 9205, -1.0)]:
+            x = sign * gev_sample(GevParams(100.0, 30.0, xi0), 30, seed=seed)
+            V, l = lmoment_cov(x, method=cov), sample_lmoments(x)
+            const = estimators._objective_const(V)
+            for penalty in self.PENALTIES:
+                for alpha_n in (0.0, 1.0):
+                    profile = estimators._glme_profile(l, V, const, penalty, alpha_n)
+                    ref_mu, ref_sigma, ref_value = glme_profile_reference(
+                        l, V, const, penalty, alpha_n)(self.SHAPES)
+                    inside = np.abs(self.SHAPES) < estimators._XI_HI
+                    n_nonpositive += int(np.sum(inside & (ref_sigma <= 0)))
+                    for i, xi in enumerate(self.SHAPES.tolist()):
+                        mu, sigma, value = profile(xi)
+                        case = f"xi0={xi0} sign={sign} {penalty.label} alpha_n={alpha_n} xi={xi}"
+                        if (value >= SENTINEL) != (ref_value[i] >= SENTINEL):
+                            problems.append(f"{case}: {value!r} vs {ref_value[i]!r}")
+                            continue
+                        if value >= SENTINEL:
+                            continue
+                        n_feasible += 1
+                        # the scale comes from a dot product that cancels
+                        # where it is small against the data's, l2
+                        for name, got, want, size in [
+                            ("value", value, ref_value[i], abs(ref_value[i])),
+                            ("mu", mu, ref_mu[i], abs(ref_mu[i])),
+                            ("sigma", sigma, ref_sigma[i], abs(ref_sigma[i]) + l.l2),
+                        ]:
+                            if not abs(got - want) <= 1e-13 * size:
+                                problems.append(f"{case}: {name} {got!r} vs {want!r}")
+        assert not problems, "\n".join(problems[:20])
+        assert n_feasible > 1000 and n_nonpositive > 100
 
 
 class TestZeroWeightStart:
@@ -851,6 +916,16 @@ class TestProfile:
                             [-0.6, -0.3])
         assert [p.converged for p in points] == [False, True]
         assert points[0].value == -SENTINEL
+
+    @pytest.mark.parametrize("alpha_n", [0.5, 1.0])
+    def test_zero_weight_shapes_flagged_for_any_weight(self, flood, alpha_n):
+        grid = np.linspace(-0.9, 0.3, 61)
+        points = profile_xi(flood.values, "glme", parse_method("glme.ms").penalty, grid,
+                            alpha_n=alpha_n)
+        outside = [p for p in points if not -0.5 < p.xi < 0.5]
+        assert len(outside) == 21
+        assert all(not p.converged and p.value == -SENTINEL for p in outside)
+        assert all(p.converged for p in points if -0.5 < p.xi < 0.5)
 
     def test_strong_penalty_narrows_curve(self, flood):
         # half-width of the profile at the 1.92 drop from its peak

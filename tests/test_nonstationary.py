@@ -7,8 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from glme.errors import ConvergenceError, DegenerateDataError, TransformError
-from glme.estimators import _feasible_scale, fit_lme
+from glme.errors import ConvergenceError, DegenerateDataError, ShapeEdgeError, TransformError
+from glme.estimators import _XI_LO, _feasible_scale, fit_lme
 from glme.gev import GevParams, gev_sample, return_level
 from glme.lmoments import GUMBEL_LMOMENTS, CovMatrix3, gumbel_lmoment_cov, sample_lmoments
 from glme.methods import parse_method
@@ -577,17 +577,33 @@ class TestShapeZeroStart:
     the xi=-0.45, n=40 cell, among seeds 0-29999."""
 
     MODEL = SimCell("gev11", -0.45, 40).truth_model()
-    # every seed whose L-moment equations have no root once the slopes are fixed
-    NO_ROOT_SEEDS = (3971, 7212, 11517, 12083, 13462, 13757, 15079, 17611, 22212,
-                     23186, 25751, 28379, 28552)
+    # every seed whose L-moment equations, once the slopes are fixed, have
+    # their root below the shape box (shapes -1.003 to -1.076), so the solve
+    # stalls at the box's lower edge
+    EDGE_SEEDS = (3971, 7212, 11517, 12083, 13462, 13757, 15079, 17611, 22212,
+                  23186, 25751, 28379, 28552)
     # roots at shapes near -0.8 to -0.97 that no start at the L-moment shape reaches
     FAR_ROOT_SEEDS = (3147, 3799, 3889, 4024, 4174)
 
-    @pytest.mark.parametrize("seed", NO_ROOT_SEEDS)
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
     def test_no_root_stalls_typed(self, seed):
-        with pytest.raises(ConvergenceError, match="stalled") as info:
+        with pytest.raises(ShapeEdgeError, match="stalled") as info:
             fit_ns_lme(ns_sample(self.MODEL, seed), self.MODEL.covariates)
-        assert info.value.best is not None and not info.value.best.converged
+        best = info.value.best
+        assert best is not None and not best.converged
+        assert 0.0 <= best.model.xi - _XI_LO < 1e-10
+
+    @pytest.mark.parametrize("name", ["glme.b.c1", "glme.n.c3"])
+    def test_glme_starts_from_the_edge(self, name):
+        # with or without the memo the glme methods start from lme's point at
+        # the edge, and their own minima lie inside the box
+        X = self.MODEL.covariates
+        for seed in self.EDGE_SEEDS:
+            z = ns_sample(self.MODEL, seed)
+            fit = parse_method(name).fit_ns(z, X, memo={})
+            assert fit.converged and -0.95 < fit.model.xi < -0.85
+            alone = parse_method(name).fit_ns(z, X)
+            assert (alone.model.xi, alone.objective_value) == (fit.model.xi, fit.objective_value)
 
     @pytest.mark.parametrize("seed", FAR_ROOT_SEEDS)
     def test_far_root_found(self, seed):
