@@ -1,16 +1,18 @@
-"""Derivative-free minimizers.
+"""Minimizers.
 
+* ``damped_newton``: damped Newton steps in scalar floats on an exact
+  gradient and Hessian (or Gauss-Newton matrix), for the likelihood fits,
+  the ``mle``/``gmle`` profile and the trend model's ``fit_ns_glme``.
 * ``brent``: bounded scalar search (golden section with parabolic steps),
   for ``fit_glme``'s one-dimensional shape search.
 * ``nelder_mead``: seeded simplex search with jittered restarts.  No fit
-  calls it any more: the likelihood fits and the trend model's final stage
-  take Newton-type steps on exact derivatives.  It stays as the search of
-  the reference fits in ``tests/_oracles.py``, and the estimator modules
-  keep the name imported for the benchmark's trace hook.
+  calls it; it stays as the search of the reference fits in
+  ``tests/_oracles.py``, and the estimator modules keep the name imported
+  for the benchmark's trace hook.
 
-Both are deterministic (``nelder_mead`` given its seed) and accept
-objectives that score infeasible points with a large finite sentinel
-rather than an exception.
+All are deterministic.  ``damped_newton`` takes objectives that return
+None at infeasible points, the others ones that score them with a large
+finite sentinel.
 """
 
 from __future__ import annotations
@@ -20,10 +22,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["OptimResult", "brent", "nelder_mead"]
+__all__ = ["OptimResult", "brent", "damped_newton", "nelder_mead"]
 
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
+
+# damped_newton: relative-step and decrement tolerances; evaluation cap;
+# the smallest eigenvalue (at unit diagonal) taken as positive definite,
+# and the least a lower one is lifted to; the damping after a first
+# rejected step
+_NEWTON_XTOL, _NEWTON_FTOL = 1e-10, 1e-12
+_NEWTON_MAX_EVAL = 200
+_NEWTON_PD_TOL, _NEWTON_DAMPING = 1e-12, 1e-3
+_NEWTON_DAMPING_MIN = 1e-2
 
 
 @dataclass
@@ -214,3 +225,176 @@ def brent(fn, a: float, b: float, xtol: float = 1e-10, max_evals: int = 100) -> 
             elif fu <= fv or v == x or v == w:
                 v, fv = u, fu
     return OptimResult(x, fx, n_eval, False)
+
+
+def _ldl(m, shift: float):
+    """``m + shift I = L D L^T`` for a symmetric 2x2 or 3x3 ``m`` (rows as
+    lists of floats), in floats: ``(pivots, below)``, the diagonal of ``D``
+    and the entries of ``L`` below its diagonal, row by row.  A pivot is
+    kept at least ``_NEWTON_PD_TOL``, so one that is not positive leaves
+    the factor finite and shows as that floor."""
+    if len(m) == 2:
+        (a, b), (_, c) = m
+        p0 = max(a + shift, _NEWTON_PD_TOL)
+        l10 = b / p0
+        return [p0, max(c + shift - l10 * b, _NEWTON_PD_TOL)], [l10]
+    (a, d, e), (_, b, f), (_, _, c) = m
+    p0 = max(a + shift, _NEWTON_PD_TOL)
+    l10, l20 = d / p0, e / p0
+    p1 = max(b + shift - l10 * d, _NEWTON_PD_TOL)
+    l21 = (f - l20 * d) / p1
+    return [p0, p1, max(c + shift - l20 * e - l21 * l21 * p1, _NEWTON_PD_TOL)], [l10, l20, l21]
+
+
+def _ldl_solve(factor, rhs):
+    """``x`` with ``L D L^T x = rhs`` for the ``factor`` of :func:`_ldl`."""
+    pivots, below = factor
+    if len(rhs) == 2:
+        y1 = rhs[1] - below[0] * rhs[0]
+        x1 = y1 / pivots[1]
+        return [rhs[0] / pivots[0] - below[0] * x1, x1]
+    l10, l20, l21 = below
+    y1 = rhs[1] - l10 * rhs[0]
+    x2 = (rhs[2] - l20 * rhs[0] - l21 * y1) / pivots[2]
+    x1 = y1 / pivots[1] - l21 * x2
+    return [rhs[0] / pivots[0] - l10 * x1 - l20 * x2, x1, x2]
+
+
+def _newton_steps(grad, hess):
+    """Damped Newton steps at one point, in floats, in coordinates scaled
+    so that the Hessian has unit diagonal: ``step(damping)`` is
+    ``-(H + damping I)^-1 g``, and ``step(damping, last)`` fixes the step's
+    last component at ``last`` and takes the rest of that step given it.
+    ``grad`` and ``hess`` are a list and a list of rows, of size 2 or 3.
+    Where the matrix solved with is not positive definite (its smallest
+    eigenvalue at most ``_NEWTON_PD_TOL``), that eigenvalue is first lifted
+    to its own magnitude, or to ``_NEWTON_DAMPING`` if that is larger.
+
+    The system is solved by :func:`_ldl`.  Where every pivot is positive
+    the matrix is positive definite, and the product of its other ``k - 1``
+    eigenvalues is at most ``(trace / (k - 1))**(k - 1)``, so the smallest
+    is at least the determinant, the product of the pivots, over that: when
+    this bound exceeds ``_NEWTON_PD_TOL`` no lift is needed, and only
+    otherwise is the eigenvalue taken from ``np.linalg.eigvalsh``.
+    """
+    d = [math.sqrt(abs(row[i])) or 1.0 for i, row in enumerate(hess)]
+    g = [gi / di for gi, di in zip(grad, d)]
+    scaled = [[hij / (di * dj) for hij, dj in zip(row, d)] for row, di in zip(hess, d)]
+    lowest = {}  # smallest eigenvalue of each system, without damping
+
+    def solve(m, rhs, damping):
+        size = len(rhs)
+        factor = _ldl(m, damping)
+        pivots = factor[0]
+        spread = (sum(row[i] for i, row in enumerate(m)) + size * damping) / (size - 1)
+        if not (min(pivots) > _NEWTON_PD_TOL
+                and math.prod(pivots) > _NEWTON_PD_TOL * spread ** (size - 1)):
+            if size not in lowest:
+                lowest[size] = float(np.linalg.eigvalsh(m)[0])
+            low = lowest[size] + damping
+            if low <= _NEWTON_PD_TOL:
+                factor = _ldl(m, damping + max(_NEWTON_DAMPING, -low) - low)
+        return _ldl_solve(factor, rhs)
+
+    def step(damping, last=None):
+        if last is None:
+            return [-x / di for x, di in zip(solve(scaled, g, damping), d)]
+        fixed = last * d[-1]
+        held = [row[:-1] for row in scaled[:-1]]
+        rhs = [gi + row[-1] * fixed for gi, row in zip(g[:-1], scaled)]
+        return [-x / di for x, di in zip(solve(held, rhs, damping), d)] + [last]
+
+    return step
+
+
+def damped_newton(objective, theta: list, current, stops=(), reach=None, kinks=None):
+    """Damped Newton minimization from a feasible point, in floats.
+
+    ``theta`` is a list of floats; ``objective(theta)`` returns ``(value,
+    gradient, hessian, ...)`` or None where infeasible, and ``current`` is
+    its output at ``theta``.  A rejected step is retried with ten times the
+    Levenberg damping (see :func:`_newton_steps`), which falls tenfold after
+    each accepted step.  Kinks in the last coordinate come two ways:
+    ``stops``, sorted values that no step may cross (the shape box's edges,
+    a penalty's kinks), and ``kinks(current)``, called only after a rejected
+    step, the offsets of the coordinate's kinks from ``theta``.  A step that
+    would cross a stop, or after a rejection a kink, is cut short on it.
+    From a stop the steps hold the coordinate, and once that held step is
+    below the tolerance leave it, unless that leaves the box.  A point on a
+    kink (within the tolerance), once a step has ended there or a rejection
+    has found it there, is held alike, except that it is left by free steps
+    with more damping.  ``reach(theta, step, current)`` shortens a step to
+    the fraction it returns.  Stops, converged, when the relative step is at
+    most ``_NEWTON_XTOL``, or after a step that ends off every stop and kink
+    with a decrement ``-gradient . step`` of at most
+    ``_NEWTON_FTOL * (1 + |f|)``; not converged at the evaluation cap.
+    Returns ``(theta, current, evaluations, converged)``, the start's
+    evaluation counted.
+    """
+    n_eval, damping, on_kink = 1, 0.0, False
+    while n_eval < _NEWTON_MAX_EVAL:
+        value, grad = current[0], current[1]
+        newton_step = _newton_steps(grad, current[2])
+        last = theta[-1]
+        xtol = [_NEWTON_XTOL * (1.0 + abs(t)) for t in theta]
+        cuts, offsets = stops, None
+
+        def small(step):
+            return all(abs(s) <= t for s, t in zip(step, xtol))
+
+        def candidate(damping, held=False):
+            if held:
+                return newton_step(damping, 0.0), last
+            step = newton_step(damping)
+            ahead = [s for s in cuts
+                     if 0.0 < (s - last) * math.copysign(1.0, step[-1]) < abs(step[-1])]
+            if ahead:
+                target = min(ahead, key=lambda s: abs(s - last))
+                step = newton_step(damping, target - last)
+            else:
+                target = None
+            if reach is not None:
+                fraction = reach(theta, step, current)
+                if fraction < 1.0:
+                    return [fraction * s for s in step], None
+            return step, target
+
+        held = on_kink or last in stops
+        step, target = candidate(damping, held)
+        if held and small(step):
+            # converged with the last coordinate on a stop or kink: try
+            # leaving it, unless that means leaving the box
+            held = on_kink = False
+            step, target = candidate(damping)
+            if stops and ((last == stops[0] and step[-1] < 0)
+                          or (last == stops[-1] and step[-1] > 0)):
+                return theta, current, n_eval, True
+        while not small(step):
+            point = [t + s for t, s in zip(theta, step)]
+            if target is not None:
+                point[-1] = target
+            trial = objective(point)
+            n_eval += 1
+            if trial is not None and trial[0] < value:
+                break
+            if n_eval >= _NEWTON_MAX_EVAL:
+                return theta, current, n_eval, False
+            damping = max(10.0 * damping, _NEWTON_DAMPING_MIN)
+            if kinks is not None and offsets is None and not held:
+                offsets = kinks(current)
+                on_kink = held = any(abs(k) <= xtol[-1] for k in offsets)
+                if not on_kink:
+                    cuts = (*stops, *(last + k for k in offsets))
+            step, target = candidate(damping, held)
+            if on_kink and small(step):
+                on_kink = held = False
+                step, target = candidate(damping)
+        else:
+            return theta, current, n_eval, True
+        decrement = -sum(gi * si for gi, si in zip(grad, step))
+        theta, current = point, trial
+        damping = damping / 10.0 if damping > _NEWTON_DAMPING_MIN else 0.0
+        on_kink = target is not None and target not in stops
+        if decrement <= _NEWTON_FTOL * (1.0 + abs(current[0])) and target is None:
+            return theta, current, n_eval, True
+    return theta, current, n_eval, False

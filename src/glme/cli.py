@@ -176,19 +176,32 @@ def _load_config(path: str) -> dict[str, str]:
     return out
 
 
-def _apply_config(args, subparser, config: dict[str, str]):
-    """Fill options from the config file without overriding explicit flags."""
+def _given(subparser, args, argv: list[str]) -> set[str]:
+    """The destinations of the options in ``argv``, the command's own
+    arguments: argparse fills in the default only of an option it has not
+    seen, so ``argv`` is parsed again into a namespace of unset options."""
+    unset = object()
+    given = argparse.Namespace(**dict.fromkeys(vars(args), unset))
+    subparser.parse_args(argv, namespace=given)
+    return {dest for dest, value in vars(given).items() if value is not unset}
+
+
+def _apply_config(args, subparser, config: dict[str, str], given: set[str]):
+    """Fill options from the config file, except those in ``given``, the
+    options given on the command line: flags win, even one that repeats its
+    default."""
     for key, raw in config.items():
         dest = key.replace("-", "_")
         if dest == "format":
             dest = "fmt"
         if not hasattr(args, dest):
             raise ValueError(f"config key {key!r} is not an option of this command")
-        default = subparser.get_default(dest)
-        if getattr(args, dest) != default:
-            continue  # flag was given explicitly; flags win
-        current = default
+        if dest in given:
+            continue
+        current = subparser.get_default(dest)
         if isinstance(current, bool):
+            if raw.lower() not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+                raise ValueError(f"config key {key!r} needs 1/0, true/false, yes/no or on/off")
             value = raw.lower() in ("1", "true", "yes", "on")
         elif isinstance(current, int) and not isinstance(current, bool):
             value = int(raw)
@@ -500,10 +513,13 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser, registry = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
         if args.config:
-            _apply_config(args, registry[args.command], _load_config(args.config))
+            subparser = registry[args.command]
+            given = _given(subparser, args, argv[argv.index(args.command) + 1:])
+            _apply_config(args, subparser, _load_config(args.config), given)
         # buffer everything so failed commands emit no partial output
         buffer = io.StringIO()
         code = _COMMANDS[args.command](args, buffer)

@@ -34,7 +34,7 @@ import numpy as np
 # for it
 import numpy.ma  # noqa: F401
 
-from ._optim import brent
+from ._optim import brent, damped_newton
 # unused here; perfbench/tracing.py patches glme.estimators.nelder_mead by name
 from ._optim import nelder_mead  # noqa: F401
 from .errors import ConvergenceError, DegenerateDataError, LSkewnessError, SampleSizeError
@@ -82,15 +82,8 @@ _XI_LO_IN, _XI_HI_IN = math.nextafter(_XI_LO, 0.0), math.nextafter(_XI_HI, 0.0)
 _GLME_GRID = 81
 _GLME_XTOL = 1e-10
 
-# the likelihood fits' damped Newton: relative-step and decrement
-# tolerances; evaluation cap; the smallest eigenvalue (at unit diagonal)
-# taken as positive definite, and the least a lower one is lifted to; the
-# damping after a first rejected step; and the share of each observation's
-# distance to the support's end that a step must keep
-_NEWTON_XTOL, _NEWTON_FTOL = 1e-10, 1e-12
-_NEWTON_MAX_EVAL = 200
-_NEWTON_PD_TOL, _NEWTON_DAMPING = 1e-12, 1e-3
-_NEWTON_DAMPING_MIN = 1e-2
+# the share of each observation's distance to the support's end that a
+# likelihood fit's Newton step must keep
 _SUPPORT_TAU = 0.5
 
 # the series of the reduced variate's shape derivatives in t = xi z: where
@@ -437,160 +430,6 @@ def _shape_held(evaluate, xi: float):
     return objective
 
 
-def _ldl(m, shift: float):
-    """``m + shift I = L D L^T`` for a symmetric 2x2 or 3x3 ``m`` (rows as
-    lists of floats), in floats: ``(pivots, below)``, the diagonal of ``D``
-    and the entries of ``L`` below its diagonal, row by row.  A pivot is
-    kept at least ``_NEWTON_PD_TOL``, so one that is not positive leaves
-    the factor finite and shows as that floor."""
-    if len(m) == 2:
-        (a, b), (_, c) = m
-        p0 = max(a + shift, _NEWTON_PD_TOL)
-        l10 = b / p0
-        return [p0, max(c + shift - l10 * b, _NEWTON_PD_TOL)], [l10]
-    (a, d, e), (_, b, f), (_, _, c) = m
-    p0 = max(a + shift, _NEWTON_PD_TOL)
-    l10, l20 = d / p0, e / p0
-    p1 = max(b + shift - l10 * d, _NEWTON_PD_TOL)
-    l21 = (f - l20 * d) / p1
-    return [p0, p1, max(c + shift - l20 * e - l21 * l21 * p1, _NEWTON_PD_TOL)], [l10, l20, l21]
-
-
-def _ldl_solve(factor, rhs):
-    """``x`` with ``L D L^T x = rhs`` for the ``factor`` of :func:`_ldl`."""
-    pivots, below = factor
-    if len(rhs) == 2:
-        y1 = rhs[1] - below[0] * rhs[0]
-        x1 = y1 / pivots[1]
-        return [rhs[0] / pivots[0] - below[0] * x1, x1]
-    l10, l20, l21 = below
-    y1 = rhs[1] - l10 * rhs[0]
-    x2 = (rhs[2] - l20 * rhs[0] - l21 * y1) / pivots[2]
-    x1 = y1 / pivots[1] - l21 * x2
-    return [rhs[0] / pivots[0] - l10 * x1 - l20 * x2, x1, x2]
-
-
-def _newton_steps(grad, hess):
-    """Damped Newton steps at one point, in floats, in coordinates scaled
-    so that the Hessian has unit diagonal: ``step(damping)`` is
-    ``-(H + damping I)^-1 g``, and ``step(damping, last)`` fixes the step's
-    last component at ``last`` and takes the rest of that step given it.
-    ``grad`` and ``hess`` are a list and a list of rows, of size 2 or 3.
-    Where the matrix solved with is not positive definite (its smallest
-    eigenvalue at most ``_NEWTON_PD_TOL``), that eigenvalue is first lifted
-    to its own magnitude, or to ``_NEWTON_DAMPING`` if that is larger.
-
-    The system is solved by :func:`_ldl`.  Where every pivot is positive
-    the matrix is positive definite, and the product of its other ``k - 1``
-    eigenvalues is at most ``(trace / (k - 1))**(k - 1)``, so the smallest
-    is at least the determinant, the product of the pivots, over that: when
-    this bound exceeds ``_NEWTON_PD_TOL`` no lift is needed, and only
-    otherwise is the eigenvalue taken from ``np.linalg.eigvalsh``.
-    """
-    d = [math.sqrt(abs(row[i])) or 1.0 for i, row in enumerate(hess)]
-    g = [gi / di for gi, di in zip(grad, d)]
-    scaled = [[hij / (di * dj) for hij, dj in zip(row, d)] for row, di in zip(hess, d)]
-    lowest = {}  # smallest eigenvalue of each system, without damping
-
-    def solve(m, rhs, damping):
-        size = len(rhs)
-        factor = _ldl(m, damping)
-        pivots = factor[0]
-        spread = (sum(row[i] for i, row in enumerate(m)) + size * damping) / (size - 1)
-        if not (min(pivots) > _NEWTON_PD_TOL
-                and math.prod(pivots) > _NEWTON_PD_TOL * spread ** (size - 1)):
-            if size not in lowest:
-                lowest[size] = float(np.linalg.eigvalsh(m)[0])
-            low = lowest[size] + damping
-            if low <= _NEWTON_PD_TOL:
-                factor = _ldl(m, damping + max(_NEWTON_DAMPING, -low) - low)
-        return _ldl_solve(factor, rhs)
-
-    def step(damping, last=None):
-        if last is None:
-            return [-x / di for x, di in zip(solve(scaled, g, damping), d)]
-        fixed = last * d[-1]
-        held = [row[:-1] for row in scaled[:-1]]
-        rhs = [gi + row[-1] * fixed for gi, row in zip(g[:-1], scaled)]
-        return [-x / di for x, di in zip(solve(held, rhs, damping), d)] + [last]
-
-    return step
-
-
-def _newton(objective, theta: list, current, stops=(), reach=None):
-    """Damped Newton minimization from a feasible point, in floats.
-
-    ``theta`` is a list of floats; ``objective(theta)`` returns ``(value,
-    gradient, hessian, ...)`` or None where infeasible, and ``current`` is
-    its output at ``theta``.  ``stops`` are values of the last coordinate
-    that a step may not cross (the edges of the shape box, and shapes where
-    the penalty has a kink): a step that would is cut short with that
-    coordinate exactly on the stop.  A step that fails to lower the value
-    is retried, from a point on a stop, with the last coordinate held
-    there, and otherwise with ten times the Levenberg damping (see
-    :func:`_newton_steps`), which falls tenfold after each accepted step.
-    ``reach(theta, step, current)`` shortens a step to the fraction it
-    returns.  Stops, converged, when the relative
-    step is at most ``_NEWTON_XTOL``, or after a step whose decrement
-    ``-gradient . step`` was at most ``_NEWTON_FTOL * (1 + |f|)``; not
-    converged at the evaluation cap.  Returns ``(theta, current,
-    evaluations, converged)``, the start's evaluation counted.
-    """
-    n_eval, damping = 1, 0.0
-    while n_eval < _NEWTON_MAX_EVAL:
-        value, grad = current[0], current[1]
-        newton_step = _newton_steps(grad, current[2])
-        last = theta[-1]
-
-        def candidate(damping, held=False):
-            if held:
-                return newton_step(damping, 0.0), last
-            step = newton_step(damping)
-            ahead = [s for s in stops
-                     if 0.0 < (s - last) * math.copysign(1.0, step[-1]) < abs(step[-1])]
-            if ahead:
-                target = min(ahead, key=lambda s: abs(s - last))
-                step = newton_step(damping, target - last)
-            else:
-                target = None
-            if reach is not None:
-                fraction = reach(theta, step, current)
-                if fraction < 1.0:
-                    return [fraction * s for s in step], None
-            return step, target
-
-        xtol = [_NEWTON_XTOL * (1.0 + abs(t)) for t in theta]
-        held = last in stops
-        step, target = candidate(damping, held)
-        if held and all(abs(s) <= t for s, t in zip(step, xtol)):
-            # converged with the last coordinate on a stop: try leaving it,
-            # unless that means leaving the box
-            held = False
-            step, target = candidate(damping)
-            if (last == stops[0] and step[-1] < 0) or (last == stops[-1] and step[-1] > 0):
-                return theta, current, n_eval, True
-        while any(abs(s) > t for s, t in zip(step, xtol)):
-            point = [t + s for t, s in zip(theta, step)]
-            if target is not None:
-                point[-1] = target
-            trial = objective(point)
-            n_eval += 1
-            if trial is not None and trial[0] < value:
-                break
-            if n_eval >= _NEWTON_MAX_EVAL:
-                return theta, current, n_eval, False
-            damping = max(10.0 * damping, _NEWTON_DAMPING_MIN)
-            step, target = candidate(damping, held)
-        else:
-            return theta, current, n_eval, True
-        decrement = -sum(gi * si for gi, si in zip(grad, step))
-        theta, current = point, trial
-        damping = damping / 10.0 if damping > _NEWTON_DAMPING_MIN else 0.0
-        if decrement <= _NEWTON_FTOL * (1.0 + abs(current[0])) and theta[-1] not in stops:
-            return theta, current, n_eval, True
-    return theta, current, n_eval, False
-
-
 def _fit_likelihood(arr: np.ndarray, penalty, init: GevParams | None,
                     lme: FitResult | None) -> FitResult:
     method = "mle" if isinstance(penalty, FlatPenalty) else f"gmle.{penalty.label}"
@@ -611,7 +450,7 @@ def _fit_likelihood(arr: np.ndarray, penalty, init: GevParams | None,
             n_eval += 1
             if current is None:
                 continue
-            theta, current, evals, converged = _newton(
+            theta, current, evals, converged = damped_newton(
                 lambda theta: evaluate(*theta), theta, current, stops, _support_reach())
         n_eval += evals - 1
         runs.append((not converged, current[0], theta))
@@ -749,11 +588,11 @@ def fit_glme(
     :class:`AdaptiveBetaRequest` penalty is built from the shape of ``lme``,
     the :func:`fit_lme` fit of the same sample, which is computed here when
     not given.  Location and scale are profiled
-    out in closed form (see :func:`_glme_profile`); the shape is searched on a
-    fixed grid of 81 points over the box (-1, 1), narrowed to the
-    penalty's support when the penalty is in force, then refined by bounded
-    Brent between the best grid point's neighbours.  ``iterations`` counts
-    the shapes at which the profile was evaluated.
+    out in closed form (see :func:`_glme_profile`); the shape is searched on
+    the 79 inner points of a fixed grid of 81 over the box (-1, 1), narrowed
+    to the penalty's support when the penalty is in force, then refined by
+    bounded Brent between the best grid point's neighbours.  ``iterations``
+    counts the shapes at which the profile was evaluated.
     """
     arr = _check_sample(x, COV_MIN_N)
     if isinstance(penalty, AdaptiveBetaRequest):
@@ -768,19 +607,21 @@ def fit_glme(
     lo, hi = _XI_LO, _XI_HI
     if alpha_n != 0:
         lo, hi = max(lo, penalty.support[0]), min(hi, penalty.support[1])
+    # the ends of the open interval (lo, hi) are never feasible
     grid = np.linspace(lo, hi, _GLME_GRID).tolist()
-    values = [profile(t)[2] for t in grid]
-    k = min(range(len(grid)), key=values.__getitem__)
+    inner = grid[1:-1]
+    values = [profile(t)[2] for t in inner]
+    k = min(range(len(inner)), key=values.__getitem__)
     if values[k] >= SENTINEL:
         raise ConvergenceError(f"{method}: no feasible shape in ({lo:g}, {hi:g})")
-    res = brent(lambda t: profile(t)[2], grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)],
-                xtol=_GLME_XTOL)
-    xi = res.x if res.fun <= values[k] else grid[k]
+    # Brent between the best shape's neighbours, grid[k] and grid[k + 2]
+    res = brent(lambda t: profile(t)[2], grid[k], grid[k + 2], xtol=_GLME_XTOL)
+    xi = res.x if res.fun <= values[k] else inner[k]
     mu, sigma, _ = profile(xi)
     params = GevParams(mu, sigma, xi)
     value = _glme_value(l, V, const, mu, sigma, xi, penalty, alpha_n)
     converged = res.converged and value < SENTINEL
-    result = FitResult(params, method, value, converged, len(grid) + res.n_eval, penalty,
+    result = FitResult(params, method, value, converged, len(inner) + res.n_eval, penalty,
                        alpha_n)
     if not converged:
         raise ConvergenceError(f"{method} fit did not converge", best=result)
@@ -838,7 +679,7 @@ def profile_xi(
             if current is None:
                 out.append(ProfilePoint(xi, -SENTINEL, False))
                 continue
-            _, current, _, converged = _newton(objective, theta, current,
-                                               reach=_support_reach(xi))
+            _, current, _, converged = damped_newton(objective, theta, current,
+                                                     reach=_support_reach(xi))
         out.append(ProfilePoint(xi, -current[0], converged))
     return out

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._optim import damped_newton
 # unused here; perfbench/tracing.py patches glme.nonstationary.nelder_mead by name
 from ._optim import nelder_mead  # noqa: F401
 from .errors import (
@@ -82,13 +83,6 @@ _ROOT_TOL = 1e-12
 _NEWTON_ITER = 50
 _HALVINGS = 30
 _EDGE_TOL = 1e-9
-
-# fit_ns_glme's Levenberg-Marquardt search: initial and smallest damping,
-# relative-step and objective-decrease tolerances, and evaluation cap
-_LM_DAMPING, _LM_DAMPING_MIN = 1e-3, 1e-12
-_LM_XTOL, _LM_FTOL = 1e-10, 1e-15
-_LM_MAX_EVAL = 200
-
 
 @dataclass(frozen=True)
 class NsModel:
@@ -450,72 +444,6 @@ def _fit_ns_lme_once(z, X, location_method, mu_coef) -> NsFitResult:
     raise ConvergenceError(message, best=result)
 
 
-def _pinned_step(lhs, grad, mu0_step: float) -> np.ndarray:
-    """Damped Gauss-Newton step with its ``mu0`` component fixed at ``mu0_step``."""
-    rest = np.linalg.solve(lhs[1:, 1:], -(grad[1:] + lhs[1:, 0] * mu0_step))
-    return np.concatenate([[mu0_step], rest])
-
-
-def _levenberg_marquardt(objective, theta, current, penalty, alpha_n: float):
-    """Levenberg-Marquardt on ``0.5 |e|**2 + alpha_n * (-ln p(xi))`` from a
-    feasible point.
-
-    ``objective(theta)`` returns ``(value, e, de/dtheta, kinks)``, with
-    ``kinks`` the callable of :func:`_lmoment_system`, or None where
-    infeasible; ``penalty`` is None when it is not in force.  The gradient
-    and Gauss-Newton matrix use the exact Jacobian plus the penalty's slope
-    and (nonnegative part of its) curvature by central differences.  Stops
-    when the relative step is at most ``_LM_XTOL`` or the objective falls
-    by at most ``_LM_FTOL * (1 + |f|)``; converged is False when the
-    evaluation cap is hit first.  Returns ``(theta, objective(theta), evaluations,
-    converged)``.
-    """
-    n_eval = 1
-    damping, converged = _LM_DAMPING, False
-    while n_eval < _LM_MAX_EVAL:
-        value, e, a, find_kinks = current
-        grad = a.T @ e
-        hess = a.T @ a
-        if penalty is not None:
-            slope, curvature = _penalty_slopes(penalty, theta[2])
-            grad[2] += alpha_n * slope
-            hess[2, 2] += max(alpha_n * curvature, 0.0)
-        lhs = hess + damping * np.diag(np.diag(hess))
-        xtol = _LM_XTOL * (1.0 + abs(theta))
-        try:
-            step = np.linalg.solve(lhs, -grad)
-        except np.linalg.LinAlgError:
-            break
-        if (abs(step) <= xtol).all():
-            converged = True
-            break
-        trial = objective(theta + step)
-        n_eval += 1
-        if trial is not None and trial[0] < value:
-            theta, current = theta + step, trial
-            damping = max(damping / 10.0, _LM_DAMPING_MIN)
-            if value - trial[0] <= _LM_FTOL * (1.0 + abs(trial[0])):
-                converged = True
-                break
-            continue
-        damping *= 10.0
-        # Across a kink the Jacobian of one side misjudges the other, and
-        # minima often sit on a kink: retry with mu0 held on the kink the
-        # point is on, else with the step stopped at the first kink ahead.
-        kinks = find_kinks()
-        fractions = kinks / step[0]
-        ahead = fractions[(fractions > 0) & (fractions < 1.0)]
-        on_kink = (abs(kinks) <= xtol[0]).any()
-        if on_kink or ahead.size:
-            step = _pinned_step(lhs, grad, 0.0 if on_kink else ahead.min() * step[0])
-            if (abs(step) > xtol).any():
-                trial = objective(theta + step)
-                n_eval += 1
-                if trial is not None and trial[0] < value:
-                    theta, current = theta + step, trial
-    return theta, current, n_eval, converged
-
-
 def fit_ns_glme(
     z,
     X,
@@ -541,7 +469,10 @@ def fit_ns_glme(
     ``0.5 * |L^-1 r|**2 + alpha_n * (-ln p(xi)) + C``, with ``V = L L'`` the
     exact covariance of standard-Gumbel sample L-moments at the series'
     length (:func:`~glme.lmoments.gumbel_lmoment_cov`), is minimized by
-    Levenberg-Marquardt steps (see :func:`_levenberg_marquardt`);
+    :func:`glme._optim.damped_newton` on the gradient ``J'e`` and
+    Gauss-Newton matrix ``J'J`` of ``e = L^-1 r``, plus the penalty's slope
+    and nonnegative curvature (central differences); the kinks of ``r`` in
+    ``mu0`` (see :func:`_lmoment_system`) reach it through its kink hook.
     ``iterations`` counts the evaluations of the equations.  The fit is
     deterministic, and it needs at least ``COV_MIN_N`` observations.
     """
@@ -568,38 +499,47 @@ def fit_ns_glme(
     l_inv = vtilde.whiten(np.eye(3))
 
     def objective(theta):
-        """(value, whitened residual, whitened Jacobian, kinks), or None if infeasible."""
-        system = evaluate(theta)
+        """(value, gradient, Gauss-Newton matrix, kinks) at ``theta = (log
+        sigma0, xi, mu0)``, mu0 last for the kink hook; None if infeasible."""
+        system = evaluate((theta[2], theta[0], theta[1]))
         if system is None:
             return None
-        neg_log = penalty.neg_log(theta[2]) if penalized else 0.0
+        xi = theta[1]
+        neg_log = penalty.neg_log(xi) if penalized else 0.0
         if neg_log >= SENTINEL:
             return None
         r, jac, kinks = system
-        e, a = l_inv @ r, l_inv @ jac
+        e, a = l_inv @ r, l_inv @ jac[:, [1, 2, 0]]
         value = 0.5 * float(e @ e) + alpha_n * neg_log + const
-        return (value, e, a, kinks) if math.isfinite(value) else None
+        if not math.isfinite(value):
+            return None
+        grad, hess = (a.T @ e).tolist(), (a.T @ a).tolist()
+        if penalized:
+            slope, curvature = _penalty_slopes(penalty, xi)
+            grad[1] += alpha_n * slope
+            hess[1][1] += max(alpha_n * curvature, 0.0)
+        return value, grad, hess, kinks
 
-    theta = np.array([lme.model.mu_coef[0], lme.model.sigma_coef[0], lme.model.xi])
-    if penalized and penalty.neg_log(theta[2]) >= SENTINEL:
+    mu0, sig0, xi = lme.model.mu_coef[0], lme.model.sigma_coef[0], lme.model.xi
+    if penalized and penalty.neg_log(xi) >= SENTINEL:
         # the mode may put data outside the transform's support at the lme
         # intercepts; raise the scale intercept until it does not
-        theta[2] = penalty.mode
-        detrended = (z - cov @ mu_slopes - theta[0]) / np.exp(cov @ sig_slopes)
-        sigma0 = math.exp(theta[1])
-        theta[1] += math.log(_feasible_scale(detrended, 0.0, sigma0, theta[2]) / sigma0)
+        xi = penalty.mode
+        detrended = (z - cov @ mu_slopes - mu0) / np.exp(cov @ sig_slopes)
+        sigma0 = math.exp(sig0)
+        sig0 += math.log(_feasible_scale(detrended, 0.0, sigma0, xi) / sigma0)
+    theta = [float(sig0), float(xi), float(mu0)]
     # see _lmoment_system for the warnings this silences
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         current = objective(theta)
         if current is None:
             raise ConvergenceError(f"{method}: the starting point is infeasible")
-        theta, current, n_eval, converged = _levenberg_marquardt(
-            objective, theta, current, penalty if penalized else None, alpha_n
-        )
+        (sig0, xi, mu0), current, n_eval, converged = damped_newton(
+            objective, theta, current, kinks=lambda current: current[3]().tolist())
     model = NsModel(
-        np.concatenate([[theta[0]], mu_slopes]),
-        np.concatenate([[theta[1]], sig_slopes]),
-        float(theta[2]),
+        np.concatenate([[mu0], mu_slopes]),
+        np.concatenate([[sig0], sig_slopes]),
+        xi,
         cov,
     )
     result = NsFitResult(

@@ -297,24 +297,32 @@ class AdaptiveBetaRequest:
         return build_beta_adaptive(self.choice, xi_hat, self.c0)
 
 
-def _parse_kv(body: str, spec_name: str) -> dict[str, str]:
+def _parse_kv(body: str, family: str, *forms: tuple[str, ...]) -> dict[str, str]:
+    """The ``key=value`` pairs of a penalty's body; ValueError names the
+    first key outside the best-matching one of the family's ``forms``."""
     out = {}
     for part in body.split(","):
         if not part:
             continue
         if "=" not in part:
-            raise ValueError(f"bad {spec_name} option {part!r}; expected key=value")
+            raise ValueError(f"bad {family} option {part!r}; expected key=value")
         k, v = part.split("=", 1)
         out[k.strip()] = v.strip()
+    form = max(forms, key=lambda f: len(out.keys() & set(f)), default=())
+    for k in out:
+        if k not in form:
+            expected = " or ".join(",".join(f) for f in forms) or "no options"
+            raise ValueError(f"unknown {family} option {k!r}; {family} takes {expected}")
     return out
 
 
 def parse_penalty(text: str):
     """Parse a penalty description like ``beta_adaptive:choice=5``.
 
-    Grammar: ``family`` or ``family:key=value,...``.  Families: flat, cd,
-    normal, beta_fixed (preset= or p=,q=), beta_adaptive (choice=, c0=).
-    The named presets ms, park and cannon are accepted as shorthand.
+    Grammar: ``family`` or ``family:key=value,...``.  Families: flat, cd
+    (alpha=, lambda=), normal (choice= or mu=,sd=), beta_fixed (preset= or
+    p=,q=), beta_adaptive (choice=, c0=).  The named presets ms, park and
+    cannon are accepted as shorthand.  Any other key raises ValueError.
     """
     text = text.strip()
     if not text:
@@ -322,31 +330,30 @@ def parse_penalty(text: str):
     family, _, body = text.partition(":")
     family = family.lower()
 
-    if family in BETA_PRESETS:
-        return FixedBetaPenalty.from_preset(family)
-    if family == "flat":
-        return FlatPenalty()
+    if family in BETA_PRESETS or family == "flat":
+        _parse_kv(body, family)
+        return FlatPenalty() if family == "flat" else FixedBetaPenalty.from_preset(family)
     if family == "cd":
-        kv = _parse_kv(body, "cd")
+        kv = _parse_kv(body, "cd", ("alpha", "lambda"))
         return ColesDixonPenalty(
             alpha=float(kv.pop("alpha", 1.0)), lam=float(kv.pop("lambda", 1.0))
         )
     if family == "normal":
-        kv = _parse_kv(body, "normal")
+        kv = _parse_kv(body, "normal", ("choice",), ("mu", "sd"))
         if "choice" in kv:
             return NormalPenalty.from_choice(int(kv["choice"]))
         if "mu" in kv and "sd" in kv:
             return NormalPenalty(float(kv["mu"]), float(kv["sd"]))
         raise ValueError("normal penalty needs choice=N or mu=..,sd=..")
     if family == "beta_fixed":
-        kv = _parse_kv(body, "beta_fixed")
+        kv = _parse_kv(body, "beta_fixed", ("preset",), ("p", "q"))
         if "preset" in kv:
             return FixedBetaPenalty.from_preset(kv["preset"])
         if "p" in kv and "q" in kv:
             return FixedBetaPenalty(float(kv["p"]), float(kv["q"]))
         raise ValueError("beta_fixed penalty needs preset=NAME or p=..,q=..")
     if family == "beta_adaptive":
-        kv = _parse_kv(body, "beta_adaptive")
+        kv = _parse_kv(body, "beta_adaptive", ("choice", "c0"))
         if "choice" not in kv:
             raise ValueError("beta_adaptive penalty needs choice=1..6")
         return AdaptiveBetaRequest(int(kv["choice"]), c0=float(kv.get("c0", 0.3)))

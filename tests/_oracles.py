@@ -565,8 +565,9 @@ def nll_terms_reference(x, mu, sigma, xi):
 
 
 def newton_steps_reference(grad, hess):
-    """``glme.estimators._newton_steps`` as it stood before its solves
-    moved to scalar floats, kept verbatim: ``step(damping, last=None)``,
+    """``_newton_steps`` (now ``glme._optim._newton_steps``) as it stood
+    in ``glme.estimators`` before its solves moved to scalar floats, kept
+    verbatim: ``step(damping, last=None)``,
     the damped Newton step in coordinates scaled to a unit-diagonal
     Hessian, solved by ``eigvalsh`` and ``solve``."""
     pd_tol, lift = 1e-12, 1e-3

@@ -14,9 +14,9 @@ from glme.errors import (
     SampleSizeError,
 )
 from glme import estimators
+from glme._optim import _newton_steps
 from glme.estimators import (
     _default_init,
-    _newton_steps,
     _nll_buffer,
     _nll_derivatives,
     _nll_value,

@@ -228,10 +228,23 @@ class TestParsePenalty:
     @pytest.mark.parametrize(
         "bad",
         ["", "unknown", "normal", "normal:mu=1", "beta_fixed:p=2", "beta_adaptive",
-         "cd:alpha", "beta_adaptive:choice=9"],
+         "cd:alpha", "beta_adaptive:choice=9",
+         # misspelt or undocumented keys, which would otherwise fall back
+         # to a default or be dropped
+         "cd:lamda=5", "beta_fixed:p=2,q=3,lower=-0.9", "beta_adaptive:choice=2,c=0.5",
+         "normal:choice=2,mu=0", "ms:p=1", "flat:x=1"],
     )
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
+            parse_penalty(bad)
+
+    @pytest.mark.parametrize("bad,key", [
+        ("cd:lamda=5", "lamda"), ("beta_fixed:p=2,q=3,lower=-0.9", "lower"),
+        ("beta_adaptive:choice=2,c=0.5", "'c'"), ("normal:choice=2,mu=0", "mu"),
+        ("ms:p=1", "'p'"), ("flat:x=1", "'x'"),
+    ])
+    def test_unknown_key_is_named(self, bad, key):
+        with pytest.raises(ValueError, match=key):
             parse_penalty(bad)
 
     def test_every_cataloged_density_normalizes(self):
