@@ -189,7 +189,9 @@ def _given(subparser, args, argv: list[str]) -> set[str]:
 def _apply_config(args, subparser, config: dict[str, str], given: set[str]):
     """Fill options from the config file, except those in ``given``, the
     options given on the command line: flags win, even one that repeats its
-    default."""
+    default.  A value is converted by its option's ``type``, as on the
+    command line."""
+    types = {action.dest: action.type for action in subparser._actions}
     for key, raw in config.items():
         dest = key.replace("-", "_")
         if dest == "format":
@@ -203,12 +205,8 @@ def _apply_config(args, subparser, config: dict[str, str], given: set[str]):
             if raw.lower() not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
                 raise ValueError(f"config key {key!r} needs 1/0, true/false, yes/no or on/off")
             value = raw.lower() in ("1", "true", "yes", "on")
-        elif isinstance(current, int) and not isinstance(current, bool):
-            value = int(raw)
-        elif isinstance(current, float):
-            value = float(raw)
         else:
-            value = raw
+            value = raw if types.get(dest) is None else types[dest](raw)
         setattr(args, dest, value)
 
 

@@ -29,10 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# loaded here, once, rather than lazily on the first np.unique
-# (_check_distinct, trend.mann_kendall), so a forked worker does not pay
-# for it
-import numpy.ma  # noqa: F401
 
 from ._optim import brent, damped_newton
 # unused here; perfbench/tracing.py patches glme.estimators.nelder_mead by name
@@ -191,8 +187,11 @@ def _params_from_lmoments(l: LMomentTriple) -> tuple[GevParams, int, float]:
 
 
 def _check_distinct(arr: np.ndarray) -> None:
-    """The rule on distinct values that every fitter, stationary or trend, applies."""
-    if np.unique(arr).size < 3:
+    """The rule on distinct values that every fitter, stationary or trend,
+    applies.  The values are counted as a sort and its changes, which
+    ``np.unique`` would count too, without loading ``numpy.ma``."""
+    ordered = np.sort(arr)
+    if np.count_nonzero(ordered[1:] != ordered[:-1]) + 1 < 3:
         # with only two distinct values the likelihood is unbounded (sigma -> 0)
         raise DegenerateDataError("sample has fewer than 3 distinct values")
 

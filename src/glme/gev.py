@@ -97,15 +97,19 @@ def _maybe_scalar(arr: np.ndarray, scalar_in: bool):
     return float(arr[0]) if scalar_in else arr
 
 
-def _reduced_variate(z, xi: float):
+def _reduced_variate(z, xi: float, errstate: bool = True):
     """``(y, u)`` for standardized values ``z = (x - mu)/sigma``: ``u = 1 -
     xi z`` and ``y = -log1p(-xi z)/xi`` (``y = z`` at ``xi == 0``).  ``y``
     is not finite where ``u <= 0``, outside the support; each caller decides
-    what that means."""
+    what that means.  The log's divide and invalid warnings are silenced,
+    by an ``np.errstate`` of its own unless ``errstate`` is False, for
+    callers that already hold one."""
     t = xi * z
     u = 1.0 - t
     if xi == 0.0:
         return z, u
+    if not errstate:
+        return -np.log1p(-t) / xi, u
     with np.errstate(divide="ignore", invalid="ignore"):
         return -np.log1p(-t) / xi, u
 

@@ -83,6 +83,8 @@ _ROOT_TOL = 1e-12
 _NEWTON_ITER = 50
 _HALVINGS = 30
 _EDGE_TOL = 1e-9
+# robust_location_fit's step cap; its fits take at most about 20 steps
+_LOCATION_ITER = 50
 
 @dataclass(frozen=True)
 class NsModel:
@@ -186,13 +188,53 @@ def _median(a: np.ndarray) -> float:
     return float(np.partition(a, kth)[half - 1 + odd : half + 1].mean())
 
 
+def _positive_definite_solve(m, b):
+    """``x`` with ``m x = b`` for a symmetric ``m`` (a list of rows of
+    floats) by Gaussian elimination without pivoting, in floats.  Its
+    pivots are those of ``m = L D L'``, so it returns None where one is not
+    positive: unless ``m`` is positive definite."""
+    rows = [[*row, value] for row, value in zip(m, b)]
+    for k, top in enumerate(rows):
+        if not top[k] > 0.0:
+            return None
+        for i in range(k + 1, len(rows)):
+            factor = rows[i][k] / top[k]
+            rows[i] = [x - factor * y for x, y in zip(rows[i], top)]
+    x = []
+    for k in range(len(rows) - 1, -1, -1):
+        row = rows[k]
+        x.insert(0, (row[-1] - sum([r * v for r, v in zip(row[k + 1:], x)])) / row[k])
+    return x
+
+
+def _bisquare(resid, c):
+    """``(u, a, total)`` at the residuals ``resid``: ``u = resid / c``, ``a =
+    1 - u**2`` inside ``|u| < 1`` and 0 outside (and where ``u`` is nan),
+    and ``total = sum(a**3)``.  The bisquare objective is ``sum(rho(u))``
+    with ``rho = (1 - a**3) / 6``, so a larger total is a lower objective;
+    ``rho' = u a**2`` and ``rho'' = a (5 a - 4)``."""
+    u = resid / c
+    a = 1.0 - u * u
+    a[~(abs(u) < 1.0)] = 0.0
+    return u, a, float(a @ (a * a))
+
+
 def robust_location_fit(z, X, method: str = "tukey") -> np.ndarray:
     """Location regression coefficients (intercept first).
 
-    ``tukey`` (default) is an M-estimator: iteratively reweighted least
-    squares with bisquare weights (tuning 4.685) and scale fixed at the
-    normalized median absolute deviation of the initial least-squares
-    residuals.  ``ols`` returns the plain least-squares fit.
+    ``tukey`` (default) is an M-estimator: it minimizes the Tukey bisquare
+    objective ``sum(rho(r / (4.685 s)))`` of the residuals ``r``, with the
+    scale ``s`` fixed at the normalized median absolute deviation of the
+    initial least-squares residuals, from the least-squares fit.  Each step
+    is the Newton step where its matrix ``X' diag(rho''(u)) X`` is positive
+    definite and the step does not raise the objective; otherwise it is the
+    iteratively reweighted least-squares step, which never raises it
+    (Holland & Welsch 1977).  The fit stops when a step moves the fitted
+    values by at most ``1e-10 s``, or returns the current coefficients
+    when at most as many observations as coefficients keep a nonzero
+    weight or the reweighted system is not positive definite; after
+    ``_LOCATION_ITER`` steps it returns the last one's coefficients.
+    ``ols`` returns the plain least-squares fit.
     """
     z = np.asarray(z, dtype=float)
     design = _design_matrix(X, z.size)
@@ -213,19 +255,38 @@ def robust_location_fit(z, X, method: str = "tukey") -> np.ndarray:
     if scale <= 1e-12 * max(1.0, _median(np.abs(z))):
         return coef  # (near-)exact fit; nothing to reweight
 
-    c = 4.685
-    for _ in range(50):
-        u = resid / (c * scale)
-        w = (1.0 - u * u) ** 2
-        w[~(abs(u) < 1.0)] = 0.0  # negated so that a nan u gets weight 0 too
-        if np.count_nonzero(w) <= design.shape[1]:
+    c = 4.685 * scale
+    k = design.shape[1]
+    # per observation: the design row times rho'' and times the weight a**2,
+    # and rho', so that one product gives both matrices and the gradient
+    columns = np.empty((z.size, 2 * k + 1))
+    u, a, total = _bisquare(resid, c)
+    for _ in range(_LOCATION_ITER):
+        weight = a * a
+        if np.count_nonzero(weight) <= k:
             break
-        wd = design * w[:, None]
-        new = np.linalg.solve(design.T @ wd, wd.T @ z)
-        done = abs(new - coef).max() <= 1e-10 * (1.0 + abs(new).max())
-        coef = new
-        resid = z - design @ coef
-        if done:
+        np.multiply(design, (a * (5.0 * a - 4.0))[:, None], out=columns[:, :k])
+        np.multiply(design, weight[:, None], out=columns[:, k:-1])
+        np.multiply(u, weight, out=columns[:, -1])
+        sums = (design.T @ columns).tolist()
+        rhs = [c * row[-1] for row in sums]  # so that the step is in units of coef
+        trial = None
+        step = _positive_definite_solve([row[:k] for row in sums], rhs)
+        if step is not None:
+            change = design @ step
+            trial = _bisquare(resid - change, c)
+            if trial[2] < total:
+                trial = None
+        if trial is None:
+            step = _positive_definite_solve([row[k:-1] for row in sums], rhs)
+            if step is None:
+                break
+            change = design @ step
+            trial = _bisquare(resid - change, c)
+        coef = coef + step
+        resid = resid - change
+        u, a, total = trial
+        if abs(change).max() <= 1e-10 * scale:
             break
     return coef
 
@@ -319,7 +380,7 @@ def _lmoment_system(z, cov, mu_slopes, sig_slopes):
             return None
         sigma = np.exp(sig0 + log_scale)
         w = (d - mu0) / sigma
-        zt, u = _reduced_variate(w, xi)
+        zt, u = _reduced_variate(w, xi, errstate=False)
         if u.min() <= 0:  # a nan u leaves zt non-finite, rejected below
             return None
         columns[:, 0] = zt
@@ -357,32 +418,63 @@ def _stages(z, X, location_method, mu_coef=None):
     return mu_coef, scale_coef, diag
 
 
-def _newton(evaluate, theta, r, jac):
-    """Damped Newton on ``r(theta) = 0`` from a feasible point.
+def _solve3(a, b):
+    """``x`` with ``a x = b`` for a 3x3 ``a`` (a list of rows of floats) by
+    Gaussian elimination with partial pivoting, in floats; None on a zero
+    pivot, where ``a`` is singular."""
+    r0, r1, r2 = [[*row, value] for row, value in zip(a, b)]
+    if abs(r1[0]) > abs(r0[0]):
+        r0, r1 = r1, r0
+    if abs(r2[0]) > abs(r0[0]):
+        r0, r2 = r2, r0
+    p0 = r0[0]
+    if p0 == 0.0:
+        return None
+    f1, f2 = r1[0] / p0, r2[0] / p0
+    r1 = [r1[1] - f1 * r0[1], r1[2] - f1 * r0[2], r1[3] - f1 * r0[3]]
+    r2 = [r2[1] - f2 * r0[1], r2[2] - f2 * r0[2], r2[3] - f2 * r0[3]]
+    if abs(r2[0]) > abs(r1[0]):
+        r1, r2 = r2, r1
+    p1 = r1[0]
+    if p1 == 0.0:
+        return None
+    f = r2[0] / p1
+    p2 = r2[1] - f * r1[1]
+    if p2 == 0.0:
+        return None
+    x2 = (r2[2] - f * r1[2]) / p2
+    x1 = (r1[2] - r1[1] * x2) / p1
+    return [(r0[3] - r0[1] * x1 - r0[2] * x2) / p0, x1, x2]
 
-    Each step is halved until the point is feasible and the residual norm
-    decreases; stops below ``_ROOT_TOL``, on a singular Jacobian, or when
-    no halving helps.  Returns ``(theta, norm, evaluations)``.
+
+def _newton(evaluate, theta, r, jac):
+    """Damped Newton on ``r(theta) = 0`` from a feasible point, ``theta`` a
+    list of floats.
+
+    Each step solves the Jacobian system by :func:`_solve3` and is halved
+    until the point is feasible and the residual norm decreases; stops
+    below ``_ROOT_TOL``, on a singular Jacobian, or when no halving helps.
+    Returns ``(theta, norm, evaluations)``.
     """
     norm = math.sqrt(r @ r)
     n_eval = 0
     for _ in range(_NEWTON_ITER):
         if norm < _ROOT_TOL:
             break
-        try:
-            step = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError:
+        step = _solve3(jac.tolist(), (-r).tolist())
+        if step is None:
             break
         for _ in range(_HALVINGS):
-            trial = evaluate(theta + step)
+            point = [t + s for t, s in zip(theta, step)]
+            trial = evaluate(point)
             n_eval += 1
             trial_norm = math.inf if trial is None else math.sqrt(trial[0] @ trial[0])
             if trial_norm < norm:
-                theta = theta + step
+                theta = point
                 r, jac = trial[:2]
                 norm = trial_norm
                 break
-            step = 0.5 * step
+            step = [0.5 * s for s in step]
         else:
             break
     return theta, norm, n_eval
@@ -421,7 +513,7 @@ def _fit_ns_lme_once(z, X, location_method, mu_coef) -> NsFitResult:
     mu_slopes, sig_slopes = mu_coef[1:], scale_coef[1:]
     evaluate = _lmoment_system(z, cov, mu_slopes, sig_slopes)
 
-    theta = np.array([mu_coef[0], scale_coef[0], 0.0])
+    theta = [float(mu_coef[0]), float(scale_coef[0]), 0.0]
     # see _lmoment_system for the warnings this silences
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         start = evaluate(theta)

@@ -17,7 +17,6 @@ order guarantee identical output for any degree of parallelism.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -275,6 +274,9 @@ def _spread_trials(cells: list[SimCell], jobs: int):
         tasks += [(cell, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     if not tasks:
         return
+    # imported here, as only --jobs > 1 reaches it
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         results = pool.map(_run_trials, *zip(*tasks))
         for cell, k in zip(cells, parts):

@@ -37,7 +37,11 @@ def mann_kendall(x) -> TrendResult:
     sign = np.sign(arr[None, :] - arr[:, None])
     s = float(np.sum(np.triu(sign, k=1)))
 
-    _, counts = np.unique(arr, return_counts=True)
+    # the sizes of the groups of equal values, from the changes of a sort
+    # (as np.unique counts them, without loading numpy.ma)
+    ordered = np.sort(arr)
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1], [True])))
+    counts = np.diff(starts)
     ties = counts[counts > 1]
     var_s = (n * (n - 1) * (2 * n + 5) - np.sum(ties * (ties - 1) * (2 * ties + 5))) / 18.0
 

@@ -7,12 +7,12 @@ package internals.  The exceptions are ``likelihood_fit_nelder_mead``,
 ``ns_glme_nelder_mead``, references for the *searches* of the
 (penalized) likelihood fit, of the penalty-weighted L-moment fit and of the
 trend model's final stage: they minimize the package's own objectives, by
-brute force; and ``lmoment_system_reference``,
-``robust_location_fit_reference``, ``nll_terms_reference``,
+brute force; ``lmoment_system_reference``, ``nll_terms_reference``,
 ``newton_steps_reference``, ``gev_lmoment_coefs_reference`` and
 ``glme_profile_reference``, earlier versions of package functions kept
 verbatim so their rewrites can be checked against them, bit for bit or to
-a stated tolerance.
+a stated tolerance; and ``robust_location_fit_irls``, the robust location
+fit by the plain IRLS it used to run, taken to convergence.
 """
 
 import math
@@ -463,43 +463,36 @@ def lmoment_system_reference(z, cov, mu_slopes, sig_slopes):
     return evaluate
 
 
-def robust_location_fit_reference(z, X, method="tukey"):
-    """``glme.nonstationary.robust_location_fit`` as it stood before its
-    IRLS loop was streamlined, kept verbatim as a bitwise reference."""
+def robust_location_fit_irls(z, X):
+    """The ``tukey`` fit of ``glme.nonstationary.robust_location_fit`` by
+    plain iteratively reweighted least squares, run to convergence: its
+    earlier IRLS loop, with each step solved for the change of the
+    coefficients, and the stop at 1e-10 of the coefficients' size within 50
+    steps replaced by one at 1e-14 of the scale in the fitted values within
+    10000 steps.  Returns ``(coef, scale)``, ``scale`` the bisquare fit's
+    MAD scale, or 0 where the least-squares fit is taken as exact."""
     from glme.nonstationary import _design_matrix
 
     z = np.asarray(z, dtype=float)
     design = _design_matrix(X, z.size)
-    if z.size <= design.shape[1]:
-        raise ValueError("need more observations than coefficients")
-    coef, _, rank, _ = np.linalg.lstsq(design, z, rcond=None)
-    if rank < design.shape[1]:
-        raise ValueError("design matrix is rank deficient")
-    if method == "ols":
-        return coef
-    if method != "tukey":
-        raise ValueError(f"unknown location method {method!r}")
-
+    coef = np.linalg.lstsq(design, z, rcond=None)[0]
     resid = z - design @ coef
-    mad = np.median(np.abs(resid - np.median(resid)))
-    scale = 1.4826 * mad
+    scale = 1.4826 * np.median(np.abs(resid - np.median(resid)))
     if scale <= 1e-12 * max(1.0, float(np.median(np.abs(z)))):
-        return coef
-
-    c = 4.685
-    for _ in range(50):
-        u = resid / (c * scale)
+        return coef, 0.0
+    for _ in range(10000):
+        u = resid / (4.685 * scale)
         w = np.where(np.abs(u) < 1.0, (1.0 - u * u) ** 2, 0.0)
         if np.count_nonzero(w) <= design.shape[1]:
             break
         wd = design * w[:, None]
-        new = np.linalg.solve(design.T @ wd, wd.T @ z)
-        done = np.max(np.abs(new - coef)) <= 1e-10 * (1.0 + np.max(np.abs(new)))
-        coef = new
-        resid = z - design @ coef
-        if done:
+        step = np.linalg.solve(design.T @ wd, wd.T @ resid)
+        coef = coef + step
+        change = design @ step
+        resid = resid - change
+        if np.max(np.abs(change)) <= 1e-14 * scale:
             break
-    return coef
+    return coef, scale
 
 
 # the series of the reduced variate's shape derivatives in t = xi z: where

@@ -32,6 +32,7 @@ from glme.estimators import (
 from glme.gev import XI_EPS, GevParams, gev_sample, return_level
 from glme.lmoments import lmoment_cov, sample_lmoments
 from glme.methods import parse_method
+from glme.nonstationary import gev11_design, ns_sample
 from glme.penalties import (
     SENTINEL,
     AdaptiveBetaRequest,
@@ -40,6 +41,7 @@ from glme.penalties import (
     FlatPenalty,
     NormalPenalty,
 )
+from glme.simulation import SimCell
 
 
 class TestFitLme:
@@ -794,15 +796,20 @@ class TestTiedSamples:
 
 class TestEquivariance:
     """A fit commutes with a change of units: the fit of ``a + c x`` is
-    ``(a + c mu, c sigma, xi)``.  The error is the worst of ``|dxi|``,
-    ``|dmu|/sigma`` and ``|dsigma|/sigma``; the trend fits are not covered
-    (ROADMAP item 10)."""
+    ``(a + c mu, c sigma, xi)``, and a trend fit also with a change ``t ->
+    a + b t`` of its covariate, which leaves its parameters at each time
+    point alone.  The error is the worst of ``|dxi|``, ``|dmu|/sigma`` and
+    ``|dsigma|/sigma``, at every time point for the trend fits."""
 
     TOL = 1e-6
+    SHAPES = (-0.45, -0.3, -0.15, 0.0, 0.15, 0.3) * 2
     SAMPLES = [gev_sample(GevParams(100.0, 30.0, xi), 30, seed=9700 + i)
-               for i, xi in enumerate((-0.45, -0.3, -0.15, 0.0, 0.15, 0.3) * 2)]
+               for i, xi in enumerate(SHAPES)]
     SCALES = (1e-9, 1e-6, 1e-3, 1e3, 1e6, 1e9)
     SPREADS = (1e5, 1e7)  # offsets, in units of the sample's range
+    SERIES = [ns_sample(SimCell("gev11", xi, 40).truth_model(), seed=9700 + i)
+              for i, xi in enumerate(SHAPES)]
+    COVARIATE_CHANGES = ((1980.0, 1.0), (0.0, 0.01), (-5.0, 100.0))
 
     @pytest.mark.parametrize("name", ["mle", "gmle.b.c6", "gmle.n.c2", "lme", "glme",
                                       "glme.b.c1", "glme.n.c3", "glme.cd"])
@@ -817,6 +824,25 @@ class TestEquivariance:
                 scale = c * base.sigma
                 worst = max(worst, abs(fit.xi - base.xi), abs(fit.mu - (a + c * base.mu)) / scale,
                             abs(fit.sigma - scale) / scale)
+        assert worst <= self.TOL
+
+    @pytest.mark.parametrize("name", ["lme", "glme.n.c3", "glme.b.c1", "glme.b.c5"])
+    def test_trend_units_and_covariate(self, name):
+        method = parse_method(name)
+        t = gev11_design(40)
+        worst = 0.0
+        for z in self.SERIES:
+            base = method.fit_ns(z, t).model
+            mu, sigma = base.mu_values(), base.sigma_values()
+            changes = ([(0.0, c, 0.0, 1.0) for c in self.SCALES]
+                       + [(k * np.ptp(z), 1.0, 0.0, 1.0) for k in self.SPREADS]
+                       + [(0.0, 1.0, a, b) for a, b in self.COVARIATE_CHANGES])
+            for a, c, ta, tb in changes:
+                fit = method.fit_ns(a + c * z, ta + tb * t).model
+                scale = c * sigma
+                worst = max(worst, abs(fit.xi - base.xi),
+                            np.max(np.abs(fit.mu_values() - (a + c * mu)) / scale),
+                            np.max(np.abs(fit.sigma_values() - scale) / scale))
         assert worst <= self.TOL
 
 
